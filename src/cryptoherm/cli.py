@@ -345,11 +345,6 @@ def _validate_command(cfg: RunConfig, errors: list[str]):
                 if cfg.psi0 is not None:
                     need(cfg.psi0.shape[0] == dim, f"psi0 needs {dim} entries")
         need(cfg.step is not None, f"{cmd} needs a positive step")
-        if cfg.grid is not None and cfg.step is not None:
-            dt = np.diff(cfg.grid)
-            ratios = dt / cfg.step
-            if (np.abs(ratios - np.round(ratios)) > 1e-9 * np.maximum(ratios, 1.0)).any():
-                errors.append("step must divide every grid interval")
         if cmd == "crosscheck":
             need(cfg.psi0 is None, "crosscheck derives psi0; do not supply it")
     elif cmd == "qs-check":
@@ -360,8 +355,14 @@ def _validate_command(cfg: RunConfig, errors: list[str]):
         need(cfg.sampler is not None, "qs-scan needs sampler")
         need(cfg.trials is not None, "qs-scan needs trials")
         need(cfg.dim is not None, "qs-scan needs n")
-    elif cmd == "demo":
-        pass  # scenario defaults to falsification
+    if cmd in ("evolve", "naive-evolve", "crosscheck", "demo") and cfg.step is not None:
+        # the integrator's own plan: step divides the grid, within MAX_SUBSTEPS
+        grid = _scenario_inputs(cfg)[3]
+        if grid is not None:
+            try:
+                evolution._substep_plan(grid, cfg.step)
+            except ValueError as exc:
+                errors.append(str(exc))
 
 
 # ---------------------------------------------------------------------------

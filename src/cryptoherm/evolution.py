@@ -13,10 +13,11 @@ metric, ⟨Φ(t)|Θ(t)|Φ(t)⟩ = ‖Ω(t)Φ(t)‖²: the covariant rule conserv
 whenever the hermitized image h(t) is Hermitian, while the naive rule does
 not.  Trajectories therefore carry both diagnostics.
 
-The integrator is a classical fixed-step 4th-order Runge-Kutta scheme.  The
-generator matrix is evaluated three times per step (start, midpoint, end),
-shared between the two midpoint stages and between the ket and adjoint-bra
-updates, and carried across substep boundaries.
+One fixed-step 4th-order Runge-Kutta kernel steps every propagator's stacked
+state with one batched product per stage, against a table of the generators
+at each substep's start, midpoint and end filled TABLE_BYTES at a time, so
+memory stays flat in the run length.  For a matrix polynomial a chunk is one
+GEMM of monomial weights against the stacked coefficients, plus θ′(t)·G.
 """
 
 from __future__ import annotations
@@ -26,11 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, NotHermitian
-from .linalg import as_square_matrix, norm_fro
+from .linalg import as_square_matrix, as_state
 from .metric import DysonFamily
 
 #: propagated components beyond this magnitude abort the run
 STATE_CAP = 1e12
+
+#: most RK4 substeps one call may plan, over all grid intervals
+MAX_SUBSTEPS = 10**6
+
+#: bytes of generator matrices tabulated per chunk of substeps (two per
+#: substep); at dim 64 with a ket and a bra this is one substep per chunk
+TABLE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +52,15 @@ class TaylorHamiltonian:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(as_square_matrix(c) for c in self.coefficients)
+        coeffs = [as_square_matrix(c) for c in self.coefficients]
         if not coeffs:
             raise ValueError("need at least one coefficient matrix")
         if any(c.shape != coeffs[0].shape for c in coeffs):
             raise DimensionMismatch("coefficient matrices must share one dimension")
-        object.__setattr__(self, "coefficients", coeffs)
+        # one (degree + 1, dim²) block, which the coefficient matrices view
+        block = np.stack(coeffs)
+        object.__setattr__(self, "coefficients", tuple(block))
+        object.__setattr__(self, "_rows", block.reshape(len(coeffs), -1))
 
     @property
     def degree(self) -> int:
@@ -136,14 +147,9 @@ class CrosscheckReport:
         return max(self.dev_pair_lower, self.dev_pair_operators, self.dev_lower_operators)
 
 
-def _as_state(vector, dim: int) -> np.ndarray:
-    v = np.array(vector, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise DimensionMismatch(f"expected a length-{dim} vector, got shape {v.shape}")
-    return v
-
-
 def _substep_plan(grid, step: float):
+    """Grid times and substeps per interval; ``ValueError`` unless the grid
+    increases strictly, ``step`` divides it and MAX_SUBSTEPS bounds the sum."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("time grid must be a non-empty 1-d array")
@@ -151,78 +157,98 @@ def _substep_plan(grid, step: float):
         raise ValueError("time grid must be strictly increasing")
     if not step > 0.0:
         raise ValueError(f"integrator step must be positive, got {step}")
-    plan = []
-    for dt in np.diff(times):
-        ratio = dt / step
-        n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > 1e-9 * max(ratio, 1.0):
-            raise ValueError(
-                f"step {step!r} does not divide the grid interval {float(dt)!r}"
-            )
-        plan.append(n)
-    return times, plan
+    ratios = np.diff(times) / step
+    plan = np.rint(ratios)
+    if not plan.sum() <= MAX_SUBSTEPS:
+        raise ValueError(f"step {step!r} plans {plan.sum():.3g} substeps (cap {MAX_SUBSTEPS})")
+    off = (plan < 1) | (np.abs(ratios - plan) > 1e-9 * np.maximum(ratios, 1.0))
+    if off.any():
+        dt = float(np.diff(times)[off.argmax()])
+        raise ValueError(f"step {step!r} does not divide the grid interval {dt!r}")
+    return times, plan.astype(int)
 
 
-def _integrate_linear(rhs_matrix, grid, step, states, adjoint_mask):
-    """Fixed-step RK4 for a family of linear ODEs sharing one matrix source.
+def _rk4(times, plan, y0, fill):
+    """RK4 for ẏ[s] = A[s](t)·y[s] on a stacked state ``y0`` of shape (S, d, k).
 
-    Each state y evolves by ẏ = A(t)·y with A = rhs_matrix(t) when its mask
-    entry is False, and by ẏ = −A†(t)·y when True.  States may be vectors or
-    matrices; samples are recorded on the grid points.
+    ``fill(t, out)`` writes A[s](t[i]) into ``out[s, i]``.  Returns the grid
+    samples, shape (len(times), S, d, k); the running state lives in its next
+    sample, so the work space is the table and three states.
     """
-    times, plan = _substep_plan(grid, step)
-    current = [np.array(s, dtype=complex) for s in states]
-    samples = [
-        np.empty((times.size,) + s.shape, dtype=complex) for s in current
-    ]
-    for store, s in zip(samples, current):
-        store[0] = s
-    need_adjoint = any(adjoint_mask)
-
-    a_start = rhs_matrix(times[0])
+    # step sizes, and the generator times: t₀, then each substep's midpoint
+    # (t0 + j·h) + h/2 and end t0 + (j + 1)·h, an interval ending on its grid point
+    h = np.repeat(np.diff(times) / plan, plan)
+    ends, n = np.cumsum(plan), h.size
+    sub = np.arange(n) - np.repeat(ends - plan, plan)
+    t0 = np.repeat(times[:-1], plan)
+    tt = np.empty(2 * n + 1)
+    tt[0], tt[1::2], tt[2::2] = times[0], (t0 + sub * h) + 0.5 * h, t0 + (sub + 1) * h
+    tt[2 * ends] = times[1:]
+    stack, dim = y0.shape[:2]
+    chunk = min(n, max(1, TABLE_BYTES // (2 * stack * dim * dim * 16)))
+    table = np.empty((stack, 2 * chunk + 1, dim, dim), dtype=complex)
+    slots = [table[:, j] for j in range(2 * chunk + 1)]
+    fill(tt[:1], table[:, 2 * chunk :])
+    samples = np.empty((times.size,) + y0.shape, dtype=complex)
+    samples[0] = y0
+    acc, k, tmp = (np.empty(y0.shape, dtype=complex) for _ in range(3))
+    i, j = 0, 2 * chunk
     for seg, nsub in enumerate(plan):
-        t0, t1 = times[seg], times[seg + 1]
-        h = (t1 - t0) / nsub
-        for j in range(nsub):
-            ta = t0 + j * h
-            tb = t1 if j == nsub - 1 else t0 + (j + 1) * h
-            a1 = a_start
-            a2 = rhs_matrix(ta + 0.5 * h)
-            a3 = rhs_matrix(tb)
-            if need_adjoint:
-                b1 = -a1.conj().T
-                b2 = -a2.conj().T
-                b3 = -a3.conj().T
-            for idx, y in enumerate(current):
-                if adjoint_mask[idx]:
-                    m1, m2, m3 = b1, b2, b3
-                else:
-                    m1, m2, m3 = a1, a2, a3
-                k1 = m1 @ y
-                k2 = m2 @ (y + (0.5 * h) * k1)
-                k3 = m2 @ (y + (0.5 * h) * k2)
-                k4 = m3 @ (y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-                if not np.isfinite(y).all() or np.abs(y).max() > STATE_CAP:
-                    raise NonFiniteState(
-                        f"propagated state left the finite range at t = {float(tb)!r}"
-                    )
-                current[idx] = y
-            a_start = a3
-        for store, s in zip(samples, current):
-            store[seg + 1] = s
-    return times, samples
+        y = samples[seg + 1]
+        y[...] = samples[seg]
+        for hi in h[i : i + nsub].tolist():
+            if j == 2 * chunk:
+                # carry the last end generator to slot 0, per entry: no buffer
+                for entry in table:
+                    entry[0] = entry[j]
+                c = min(chunk, n - i)
+                fill(tt[2 * i + 1 : 2 * (i + c) + 1], table[:, 1 : 2 * c + 1])
+                j = 0
+            # acc sums k1 + 2·k2 + 2·k3 + k4; tmp is y plus the scaled last k
+            np.matmul(slots[j], y, out=acc)
+            np.multiply(acc, 0.5 * hi, out=tmp)
+            tmp += y
+            np.matmul(slots[j + 1], tmp, out=k)
+            np.multiply(k, 0.5 * hi, out=tmp)
+            tmp += y
+            k *= 2.0
+            acc += k
+            np.matmul(slots[j + 1], tmp, out=k)
+            np.multiply(k, hi, out=tmp)
+            tmp += y
+            k *= 2.0
+            acc += k
+            np.matmul(slots[j + 2], tmp, out=k)
+            acc += k
+            acc *= hi / 6.0
+            y += acc
+            i, j = i + 1, j + 2
+            if not np.abs(y).max() <= STATE_CAP:
+                raise NonFiniteState(
+                    f"propagated state left the finite range at t = {float(tt[2 * i])!r}"
+                )
+    return samples
 
 
-def _covariant_rhs(hamiltonian: TaylorHamiltonian, family: DysonFamily):
-    # −i·H_gen = −i·H(t) − Ω⁻¹Ω̇; the connection vanishes for a constant map.
-    if family.kind == "constant":
-        return lambda t: -1j * hamiltonian.evaluate(t)
+def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connection: bool):
+    """Table filler for the ket generator A = −iH(t) − θ′(t)·G and the bra −A†;
+    without ``connection``, or for a constant family, θ′·G is dropped."""
+    rows = hamiltonian._rows
+    powers = np.arange(rows.shape[0])
+    with_g = connection and family.kind != "constant"
 
-    def rhs(t):
-        return -1j * hamiltonian.evaluate(t) - family.connection(t)
+    def fill(t, out):
+        ket, bra = out
+        np.matmul(-1j * t[:, None] ** powers, rows, out=ket.reshape(t.size, -1))
+        if with_g:
+            rate = family.theta_rate(t).astype(complex)
+            np.multiply(rate[:, None, None], family.generator, out=bra)
+            ket -= bra
+        np.copyto(bra, ket.swapaxes(1, 2))
+        np.conjugate(bra, out=bra)
+        np.negative(bra, out=bra)
 
-    return rhs
+    return fill
 
 
 def generator(hamiltonian: TaylorHamiltonian, family: DysonFamily, t: float) -> np.ndarray:
@@ -231,8 +257,6 @@ def generator(hamiltonian: TaylorHamiltonian, family: DysonFamily, t: float) -> 
     For a constant family the connection term vanishes and the value is
     exactly H(t).
     """
-    if family.kind == "constant":
-        return hamiltonian.evaluate(t)
     return hamiltonian.evaluate(t) - 1j * family.connection(t)
 
 
@@ -245,14 +269,24 @@ def _assemble_trajectory(times, phis, psis, family: DysonFamily) -> StateTraject
         metric_norm[k] = float(np.real(np.vdot(w, w)))
     max_metric_drift = float(np.abs(metric_norm - metric_norm[0]).max())
     return StateTrajectory(
-        times=times,
-        phi=phis,
-        psi=psis,
-        overlap=overlap,
-        max_norm_drift=max_norm_drift,
-        metric_norm=metric_norm,
-        max_metric_drift=max_metric_drift,
+        times, phis, psis, overlap, max_norm_drift, metric_norm, max_metric_drift
     )
+
+
+def _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, connection):
+    """Shared body of the covariant and naive doublet propagators."""
+    if grid is None:
+        raise ValueError("grid is required")
+    phi0 = as_state(phi0, hamiltonian.dim)
+    times, plan = _substep_plan(grid, step)
+    if psi0 is None:
+        om0 = family.omega(times[0])
+        psi0 = om0.conj().T @ (om0 @ phi0)
+    else:
+        psi0 = as_state(psi0, hamiltonian.dim)
+    fill = _taylor_fill(hamiltonian, family, connection)
+    states = _rk4(times, plan, np.stack([phi0, psi0])[:, :, None], fill)[..., 0]
+    return _assemble_trajectory(times, states[:, 0], states[:, 1], family)
 
 
 def propagate_pair(
@@ -268,16 +302,9 @@ def propagate_pair(
     ``psi0`` defaults to Θ(t₀)·φ₀, which realizes ⟨Ψ| = ⟨φ|Ω; with that
     choice and a family whose hermitized image is Hermitian, the overlap
     equals the metric norm and both stay constant up to integrator error.
+    ``grid`` is required (``ValueError`` otherwise).
     """
-    phi0 = _as_state(phi0, hamiltonian.dim)
-    if psi0 is None:
-        om0 = family.omega(np.asarray(grid, dtype=float)[0])
-        psi0 = om0.conj().T @ (om0 @ phi0)
-    else:
-        psi0 = _as_state(psi0, hamiltonian.dim)
-    rhs = _covariant_rhs(hamiltonian, family)
-    times, (phis, psis) = _integrate_linear(rhs, grid, step, [phi0, psi0], [False, True])
-    return _assemble_trajectory(times, phis, psis, family)
+    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, True)
 
 
 def propagate_naive(
@@ -296,15 +323,7 @@ def propagate_naive(
     excursion of the instantaneous-metric norm, which this rule fails to
     conserve whenever the connection matters.
     """
-    phi0 = _as_state(phi0, hamiltonian.dim)
-    if psi0 is None:
-        om0 = family.omega(np.asarray(grid, dtype=float)[0])
-        psi0 = om0.conj().T @ (om0 @ phi0)
-    else:
-        psi0 = _as_state(psi0, hamiltonian.dim)
-    rhs = lambda t: -1j * hamiltonian.evaluate(t)
-    times, (phis, psis) = _integrate_linear(rhs, grid, step, [phi0, psi0], [False, True])
-    return _assemble_trajectory(times, phis, psis, family)
+    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, False)
 
 
 def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
@@ -317,30 +336,28 @@ def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
     """
     worst_defect = 0.0
 
-    def rhs(t):
+    def fill(t, out):
         nonlocal worst_defect
-        h = as_square_matrix(h_of_t(t))
-        scale = norm_fro(h)
-        defect = norm_fro(h - h.conj().T)
-        if defect > 1e-10 * scale:
+        (h,) = out  # the samples go straight into the table, then become −i·sym(h)
+        for i, s in enumerate(t):
+            h[i] = as_square_matrix(h_of_t(s))
+        h_dag = h.conj().swapaxes(1, 2)
+        fro = lambda x: np.sqrt(np.einsum("nij,nij->n", x.view(float), x.view(float)))
+        scale, defect = fro(h), fro(h - h_dag)
+        if (bad := defect > 1e-10 * scale).any():
             raise NotHermitian(
-                f"sampled generator at t = {float(t)!r} is not Hermitian to tolerance"
+                f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
             )
-        if scale > 0.0:
-            worst_defect = max(worst_defect, defect / scale)
-        return -1j * (0.5 * (h + h.conj().T))
+        rel = defect[scale > 0.0] / scale[scale > 0.0]
+        worst_defect = max(worst_defect, float(rel.max(initial=0.0)))
+        h += h_dag
+        h *= -0.5j
 
-    phi0 = np.asarray(phi0, dtype=complex)
-    times, (states,) = _integrate_linear(rhs, grid, step, [phi0], [False])
+    times, plan = _substep_plan(grid, step)
+    states = _rk4(times, plan, np.asarray(phi0, dtype=complex)[None, :, None], fill)[:, 0, :, 0]
     norms = np.real(np.sum(states.conj() * states, axis=1))
     drift = float(np.abs(norms - norms[0]).max())
-    return VectorTrajectory(
-        times=times,
-        states=states,
-        norms=norms,
-        max_norm_drift=drift,
-        max_hermiticity_defect=worst_defect,
-    )
+    return VectorTrajectory(times, states, norms, drift, worst_defect)
 
 
 def evolution_operators(
@@ -355,23 +372,15 @@ def evolution_operators(
     maps |Ψ(0)⟩ to |Ψ(t)⟩; the product U_L(t)U_R(t) is a constant of motion,
     recorded per sample as a residual against its initial value.
     """
-    eye = np.eye(hamiltonian.dim, dtype=complex)
-    rhs = _covariant_rhs(hamiltonian, family)
-    times, (u_right, u_left_dag) = _integrate_linear(
-        rhs, grid, step, [eye, eye], [False, True]
-    )
+    times, plan = _substep_plan(grid, step)
+    eye = np.broadcast_to(np.eye(hamiltonian.dim, dtype=complex), (2,) + (hamiltonian.dim,) * 2)
+    ops = _rk4(times, plan, eye, _taylor_fill(hamiltonian, family, True))
+    u_right, u_left_dag = ops[:, 0], ops[:, 1]
     product0 = u_left_dag[0].conj().T @ u_right[0]
-    residual = np.empty(times.size, dtype=float)
-    for k in range(times.size):
-        product = u_left_dag[k].conj().T @ u_right[k]
-        residual[k] = float(np.linalg.norm(product - product0))
-    return OperatorTrajectory(
-        times=times,
-        u_right=u_right,
-        u_left_dag=u_left_dag,
-        product_residual=residual,
-        max_product_drift=float(residual.max()),
+    residual = np.array(
+        [np.linalg.norm(ul.conj().T @ ur - product0) for ul, ur in zip(u_left_dag, u_right)]
     )
+    return OperatorTrajectory(times, u_right, u_left_dag, residual, float(residual.max()))
 
 
 def crosscheck_pictures(
@@ -389,19 +398,15 @@ def crosscheck_pictures(
     must have a Hermitian hermitized image along the grid for route (b) to be
     admissible.
     """
-    phi0 = _as_state(phi0, hamiltonian.dim)
-    times = np.asarray(grid, dtype=float)
+    phi0 = as_state(phi0, hamiltonian.dim)
     pair = propagate_pair(hamiltonian, family, phi0, None, grid, step)
-
-    om0 = family.omega(times[0])
+    om0 = family.omega(pair.times[0])
 
     def h_of_t(t):
         return family.omega(t) @ hamiltonian.evaluate(t) @ family.omega_inv(t)
 
     lower = propagate_h(h_of_t, om0 @ phi0, grid, step)
-    phi_lower = np.empty_like(lower.states)
-    for k, t in enumerate(lower.times):
-        phi_lower[k] = family.omega_inv(t) @ lower.states[k]
+    phi_lower = np.stack([family.omega_inv(t) @ s for t, s in zip(lower.times, lower.states)])
 
     ops = evolution_operators(hamiltonian, family, grid, step)
     phi_ops = np.einsum("kij,j->ki", ops.u_right, phi0)
@@ -410,11 +415,6 @@ def crosscheck_pictures(
         return float(np.linalg.norm(a - b, axis=1).max())
 
     return CrosscheckReport(
-        times=pair.times,
-        phi_pair=pair.phi,
-        phi_lower=phi_lower,
-        phi_operators=phi_ops,
-        dev_pair_lower=max_dev(pair.phi, phi_lower),
-        dev_pair_operators=max_dev(pair.phi, phi_ops),
-        dev_lower_operators=max_dev(phi_lower, phi_ops),
+        pair.times, pair.phi, phi_lower, phi_ops,
+        max_dev(pair.phi, phi_lower), max_dev(pair.phi, phi_ops), max_dev(phi_lower, phi_ops),
     )

@@ -36,6 +36,14 @@ def as_square_matrix(matrix) -> np.ndarray:
     return m
 
 
+def as_state(vector, dim: int) -> np.ndarray:
+    """Validate and return a complex length-``dim`` state vector (fresh copy)."""
+    v = np.array(vector, dtype=complex)
+    if v.ndim != 1 or v.shape[0] != dim:
+        raise DimensionMismatch(f"expected a length-{dim} vector, got shape {v.shape}")
+    return v
+
+
 def identity(n: int) -> np.ndarray:
     """Complex identity matrix of dimension ``n``."""
     if n < 1:

@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     BiorthonormalSystem,
     as_square_matrix,
+    as_state,
     invert,
     norm_fro,
     principal_sqrt,
@@ -128,8 +129,10 @@ class DysonFamily:
     def theta_at(self, t: float) -> float:
         return float(npoly.polyval(t, self.theta))
 
-    def theta_rate(self, t: float) -> float:
-        return float(npoly.polyval(t, self._theta_rate_coeffs))
+    def theta_rate(self, t):
+        """θ′(t); an array of times gives an array of rates."""
+        rate = npoly.polyval(t, self._theta_rate_coeffs)
+        return rate if np.ndim(rate) else float(rate)
 
     def omega(self, t: float) -> np.ndarray:
         if self.kind == "constant":
@@ -246,17 +249,10 @@ def hermitize(hamiltonian, omega) -> np.ndarray:
     return om @ h @ om_inv
 
 
-def _as_state(vector, dim: int) -> np.ndarray:
-    v = np.asarray(vector, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise DimensionMismatch(f"expected a length-{dim} vector, got shape {v.shape}")
-    return v
-
-
 def physical_inner(a, b, theta: MetricOperator) -> complex:
     """Metric-weighted inner product ⟨a|Θ|b⟩ = Σ_{jk} a*_j Θ_{jk} b_k."""
-    va = _as_state(a, theta.dim)
-    vb = _as_state(b, theta.dim)
+    va = as_state(a, theta.dim)
+    vb = as_state(b, theta.dim)
     return complex(np.vdot(va, theta.matrix @ vb))
 
 
@@ -285,8 +281,8 @@ def expectation(observable, phi, psi) -> complex:
     Real (to tolerance) whenever Λ†Θ = ΘΛ and Ψ = Θ·Φ.
     """
     lam = as_square_matrix(observable)
-    vphi = _as_state(phi, lam.shape[0])
-    vpsi = _as_state(psi, lam.shape[0])
+    vphi = as_state(phi, lam.shape[0])
+    vpsi = as_state(psi, lam.shape[0])
     overlap = complex(np.vdot(vpsi, vphi))
     floor = 1e-12 * np.linalg.norm(vphi) * np.linalg.norm(vpsi)
     if abs(overlap) <= floor:

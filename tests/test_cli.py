@@ -135,6 +135,15 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert (np.diff(drift) >= 0).all()  # cumulative
 
 
+def test_substep_cap_is_a_validation_error(tmp_path):
+    cfg = dict(EVOLVE_CFG, step=1e-12, grid={"t_start": 0.0, "t_end": 1.0, "n_samples": 2})
+    with pytest.raises(ValidationError, match="substeps"):
+        parse_config(json.dumps(cfg))
+    path = _write(tmp_path, "huge.json", cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_codes(tmp_path):
     good = _write(tmp_path, "good.json", {"command": "decompose", "model": {"matrix": MATRIX_2}})
     assert main(["--config", str(good), "--out", str(tmp_path / "a"), "--quiet"]) == 0

@@ -1,5 +1,7 @@
 """Tests for the propagators, evolution operators, and picture crosschecks."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,6 +23,7 @@ from cryptoherm import (
     propagate_naive,
     propagate_pair,
 )
+from cryptoherm import evolution
 from cryptoherm.models import scenario_falsification, scenario_random
 
 GRID = np.linspace(0.0, 1.0, 11)
@@ -278,3 +281,152 @@ def test_observable_gauge_covariance():
         phi_low = lower.states[k]
         dirac = np.vdot(phi_low, mapped @ phi_low) / np.vdot(phi_low, phi_low)
         assert upper == pytest.approx(dirac, abs=1e-7)
+
+
+# -- the tabulated kernel against the per-substep loop it replaced ----------
+
+
+def _reference_integrate(rhs_matrix, grid, step, states, adjoint_mask):
+    """The per-substep RK4 loop that preceded the tabulated kernel.
+
+    Each state y evolves by ẏ = A(t)·y with A = rhs_matrix(t) when its mask
+    entry is False, and by ẏ = −A†(t)·y when True; the generator is evaluated
+    at each substep's start, midpoint and end.
+    """
+    times, plan = evolution._substep_plan(grid, step)
+    current = [np.array(s, dtype=complex) for s in states]
+    samples = [np.empty((times.size,) + s.shape, dtype=complex) for s in current]
+    for store, s in zip(samples, current):
+        store[0] = s
+    a_start = rhs_matrix(times[0])
+    for seg, nsub in enumerate(plan):
+        t0, t1 = times[seg], times[seg + 1]
+        h = (t1 - t0) / nsub
+        for j in range(nsub):
+            ta = t0 + j * h
+            tb = t1 if j == nsub - 1 else t0 + (j + 1) * h
+            a1, a2, a3 = a_start, rhs_matrix(ta + 0.5 * h), rhs_matrix(tb)
+            b1, b2, b3 = -a1.conj().T, -a2.conj().T, -a3.conj().T
+            for idx, y in enumerate(current):
+                m1, m2, m3 = (b1, b2, b3) if adjoint_mask[idx] else (a1, a2, a3)
+                k1 = m1 @ y
+                k2 = m2 @ (y + (0.5 * h) * k1)
+                k3 = m2 @ (y + (0.5 * h) * k2)
+                k4 = m3 @ (y + h * k3)
+                current[idx] = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            a_start = a3
+        for store, s in zip(samples, current):
+            store[seg + 1] = s
+    return samples
+
+
+def _reference_rhs(ham, fam, connection):
+    if connection and fam.kind != "constant":
+        return lambda t: -1j * ham.evaluate(t) - fam.connection(t)
+    return lambda t: -1j * ham.evaluate(t)
+
+
+EQUIVALENCE_SCENARIOS = [
+    pytest.param(scenario_falsification, id="falsification"),
+    *(
+        pytest.param(lambda d=d, s=s: scenario_random(d, s), id=f"random-{d}-{s}")
+        for d, s in ((2, 0), (4, 1), (16, 2))
+    ),
+]
+
+# (grid, step): ten substeps per interval, and one
+EQUIVALENCE_GRIDS = [
+    pytest.param(None, 1e-2, id="several-substeps"),
+    pytest.param(np.linspace(0.0, 1.0, 101), 1e-2, id="one-substep"),
+]
+
+
+@pytest.mark.parametrize("table_bytes", [evolution.TABLE_BYTES, 3000], ids=["budget", "tiny-chunks"])
+@pytest.mark.parametrize("grid, step", EQUIVALENCE_GRIDS)
+@pytest.mark.parametrize("make", EQUIVALENCE_SCENARIOS)
+def test_kernel_matches_reference_loop(make, grid, step, table_bytes, monkeypatch):
+    monkeypatch.setattr(evolution, "TABLE_BYTES", table_bytes)
+    ham, fam, phi0, scenario_grid = make()
+    grid = scenario_grid if grid is None else grid
+    om0 = fam.omega(grid[0])
+    psi0 = om0.conj().T @ (om0 @ phi0)
+    eye = np.eye(ham.dim, dtype=complex)
+
+    for propagate, connection in ((propagate_pair, True), (propagate_naive, False)):
+        traj = propagate(ham, fam, phi0, None, grid, step)
+        phis, psis = _reference_integrate(
+            _reference_rhs(ham, fam, connection), grid, step, [phi0, psi0], [False, True]
+        )
+        assert np.abs(traj.phi - phis).max() <= 1e-13
+        assert np.abs(traj.psi - psis).max() <= 1e-13
+
+    ops = evolution_operators(ham, fam, grid, step)
+    u_right, u_left_dag = _reference_integrate(
+        _reference_rhs(ham, fam, True), grid, step, [eye, eye], [False, True]
+    )
+    assert np.abs(ops.u_right - u_right).max() <= 1e-13
+    assert np.abs(ops.u_left_dag - u_left_dag).max() <= 1e-13
+
+    def h_of_t(t):
+        return fam.omega(t) @ ham.evaluate(t) @ fam.omega_inv(t)
+
+    def h_rhs(t):
+        h = h_of_t(t)
+        return -1j * (0.5 * (h + h.conj().T))
+
+    lower = propagate_h(h_of_t, om0 @ phi0, grid, step)
+    (states,) = _reference_integrate(h_rhs, grid, step, [om0 @ phi0], [False])
+    assert np.abs(lower.states - states).max() <= 1e-13
+
+
+def test_propagate_h_samples_each_generator_time_once():
+    calls = []
+
+    def h_of_t(t):
+        calls.append(t)
+        return np.diag([1.0, 2.0]).astype(complex)
+
+    propagate_h(h_of_t, np.array([1.0, 0.0]), GRID, 1e-2)
+    assert len(calls) == 2 * 100 + 1
+    assert len(set(calls)) == len(calls)
+
+
+def test_propagate_h_reports_first_non_hermitian_time():
+    # Hermitian before t = 0.5, a grid point inside the first table chunk
+    def h_of_t(t):
+        return np.array([[0.0, 1.0], [1.0 + 1e-3 * (t >= 0.5), 0.0]], dtype=complex)
+
+    with pytest.raises(NotHermitian, match=r"t = 0\.5 "):
+        propagate_h(h_of_t, np.array([1.0, 0.0]), GRID, 1e-2)
+
+
+def test_operator_memory_stays_within_chunk_budget():
+    ham, fam, _, grid = scenario_random(64, 0)
+    tracemalloc.start()
+    try:
+        ops = evolution_operators(ham, fam, grid, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(
+        a.nbytes for a in (ops.times, ops.u_right, ops.u_left_dag, ops.product_residual)
+    )
+    assert peak < outputs + 2**20
+
+
+def test_substep_plan_is_bounded():
+    ham, fam, phi0, _ = scenario_falsification()
+    with pytest.raises(ValueError, match="substeps"):
+        propagate_pair(ham, fam, phi0, None, np.array([0.0, 1.0]), 1e-12)
+    too_many = 1.0 / (evolution.MAX_SUBSTEPS + 1)
+    with pytest.raises(ValueError):
+        evolution._substep_plan(np.array([0.0, 1.0]), too_many)
+    _, plan = evolution._substep_plan(np.array([0.0, 1.0]), 1.0 / evolution.MAX_SUBSTEPS)
+    assert plan.sum() == evolution.MAX_SUBSTEPS
+
+
+@pytest.mark.parametrize("propagate", [propagate_pair, propagate_naive])
+def test_doublet_propagators_require_a_grid(propagate):
+    ham, fam, phi0, _ = scenario_falsification()
+    with pytest.raises(ValueError, match="grid is required"):
+        propagate(ham, fam, phi0)
