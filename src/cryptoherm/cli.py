@@ -355,6 +355,11 @@ def _validate_command(cfg: RunConfig, errors: list[str]):
         need(cfg.sampler is not None, "qs-scan needs sampler")
         need(cfg.trials is not None, "qs-scan needs trials")
         need(cfg.dim is not None, "qs-scan needs n")
+        if cfg.dim is not None:
+            try:  # every sampler plants spectra with a minimum gap
+                quasistationary._planted_top(cfg.dim)
+            except ValueError as exc:
+                errors.append(str(exc))
     if cmd in ("evolve", "naive-evolve", "crosscheck", "demo") and cfg.step is not None:
         # the integrator's own plan: step divides the grid, within MAX_SUBSTEPS
         grid = _scenario_inputs(cfg)[3]

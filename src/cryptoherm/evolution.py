@@ -18,6 +18,12 @@ state with one batched product per stage, against a table of the generators
 at each substep's start, midpoint and end filled TABLE_BYTES at a time, so
 memory stays flat in the run length.  For a matrix polynomial a chunk is one
 GEMM of monomial weights against the stacked coefficients, plus θ′(t)·G.
+
+The Dyson maps are tabulated the same way: the metric norms of a trajectory,
+the lower-case generators Ω·H·Ω⁻¹ of the picture cross-check and its
+pull-back Ω⁻¹φ each take one array call of ``DysonFamily.omega`` or
+``omega_inv`` per chunk of times, sized so that the maps and their work
+space stay within TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -230,16 +236,28 @@ def _rk4(times, plan, y0, fill):
     return samples
 
 
+def _taylor_table(hamiltonian: TaylorHamiltonian, t, out, scale=1.0):
+    """Write scale·H(t[i]) into ``out[i]``: one GEMM of the weights scale·tᵏ
+    against the stacked coefficients."""
+    rows = hamiltonian._rows
+    np.matmul(scale * t[:, None] ** np.arange(rows.shape[0]), rows, out=out.reshape(t.size, -1))
+
+
+def _map_slices(n: int, dim: int):
+    """Slices of ``n`` times, each small enough that four tables of Dyson maps
+    over it (the maps and the Padé work space) fit in TABLE_BYTES."""
+    size = max(1, TABLE_BYTES // (4 * 16 * dim * dim))
+    return [slice(a, a + size) for a in range(0, n, size)]
+
+
 def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connection: bool):
     """Table filler for the ket generator A = −iH(t) − θ′(t)·G and the bra −A†;
     without ``connection``, or for a constant family, θ′·G is dropped."""
-    rows = hamiltonian._rows
-    powers = np.arange(rows.shape[0])
     with_g = connection and family.kind != "constant"
 
     def fill(t, out):
         ket, bra = out
-        np.matmul(-1j * t[:, None] ** powers, rows, out=ket.reshape(t.size, -1))
+        _taylor_table(hamiltonian, t, ket, -1j)
         if with_g:
             rate = family.theta_rate(t).astype(complex)
             np.multiply(rate[:, None, None], family.generator, out=bra)
@@ -261,12 +279,13 @@ def generator(hamiltonian: TaylorHamiltonian, family: DysonFamily, t: float) -> 
 
 
 def _assemble_trajectory(times, phis, psis, family: DysonFamily) -> StateTrajectory:
-    overlap = np.sum(psis.conj() * phis, axis=1)
-    max_norm_drift = float(np.abs(overlap - overlap[0]).max())
+    overlap = np.empty(times.size, dtype=complex)
     metric_norm = np.empty(times.size, dtype=float)
-    for k, t in enumerate(times):
-        w = family.omega(t) @ phis[k]
-        metric_norm[k] = float(np.real(np.vdot(w, w)))
+    for sl in _map_slices(times.size, family.dim):
+        overlap[sl] = np.sum(psis[sl].conj() * phis[sl], axis=1)
+        w = np.einsum("kij,kj->ki", family.omega(times[sl]), phis[sl])
+        metric_norm[sl] = np.einsum("ki,ki->k", w.conj(), w).real
+    max_norm_drift = float(np.abs(overlap - overlap[0]).max())
     max_metric_drift = float(np.abs(metric_norm - metric_norm[0]).max())
     return StateTrajectory(
         times, phis, psis, overlap, max_norm_drift, metric_norm, max_metric_drift
@@ -326,21 +345,19 @@ def propagate_naive(
     return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, False)
 
 
-def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
-    """Propagate i∂ₜ|φ⟩ = h(t)|φ⟩ for a Hermitian matrix source.
+def _propagate_hermitian(sample, phi0, times, plan) -> VectorTrajectory:
+    """Shared body of the lower-case propagators: ``sample(t, h)`` writes the
+    Hermitian generator at each time ``t[i]`` into ``h[i]``.
 
-    Every sampled h(t) must be Hermitian within 1e-10 of its norm
-    (``NotHermitian`` otherwise); the tiny anti-Hermitian residual is
-    symmetrized away before stepping, so the Dirac norm is conserved up to
-    integrator error.
+    Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
+    at the first time that is not); the residual is symmetrized away.
     """
     worst_defect = 0.0
 
     def fill(t, out):
         nonlocal worst_defect
         (h,) = out  # the samples go straight into the table, then become −i·sym(h)
-        for i, s in enumerate(t):
-            h[i] = as_square_matrix(h_of_t(s))
+        sample(t, h)
         h_dag = h.conj().swapaxes(1, 2)
         fro = lambda x: np.sqrt(np.einsum("nij,nij->n", x.view(float), x.view(float)))
         scale, defect = fro(h), fro(h - h_dag)
@@ -353,11 +370,30 @@ def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
         h += h_dag
         h *= -0.5j
 
-    times, plan = _substep_plan(grid, step)
-    states = _rk4(times, plan, np.asarray(phi0, dtype=complex)[None, :, None], fill)[:, 0, :, 0]
+    states = _rk4(times, plan, phi0[None, :, None], fill)[:, 0, :, 0]
     norms = np.real(np.sum(states.conj() * states, axis=1))
     drift = float(np.abs(norms - norms[0]).max())
     return VectorTrajectory(times, states, norms, drift, worst_defect)
+
+
+def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
+    """Propagate i∂ₜ|φ⟩ = h(t)|φ⟩ for a Hermitian matrix source.
+
+    ``phi0`` must match the dimension of h(t₀) (``DimensionMismatch``
+    otherwise).  Every sampled h(t) must be Hermitian within 1e-10 of its
+    norm (``NotHermitian`` otherwise); the tiny anti-Hermitian residual is
+    symmetrized away before stepping, so the Dirac norm is conserved up to
+    integrator error.  ``h_of_t`` is called once per generator time.
+    """
+    times, plan = _substep_plan(grid, step)
+    first = [as_square_matrix(h_of_t(times[0]))]  # the table's first entry
+    phi0 = as_state(phi0, first[0].shape[0])
+
+    def sample(t, h):
+        for i, s in enumerate(t.tolist()):
+            h[i] = first.pop() if first else as_square_matrix(h_of_t(s))
+
+    return _propagate_hermitian(sample, phi0, times, plan)
 
 
 def evolution_operators(
@@ -400,13 +436,19 @@ def crosscheck_pictures(
     """
     phi0 = as_state(phi0, hamiltonian.dim)
     pair = propagate_pair(hamiltonian, family, phi0, None, grid, step)
-    om0 = family.omega(pair.times[0])
 
-    def h_of_t(t):
-        return family.omega(t) @ hamiltonian.evaluate(t) @ family.omega_inv(t)
+    def sample(t, h):
+        for sl in _map_slices(t.size, hamiltonian.dim):
+            _taylor_table(hamiltonian, t[sl], h[sl])
+            h[sl] = family.omega(t[sl]) @ h[sl] @ family.omega_inv(t[sl])
 
-    lower = propagate_h(h_of_t, om0 @ phi0, grid, step)
-    phi_lower = np.stack([family.omega_inv(t) @ s for t, s in zip(lower.times, lower.states)])
+    lower = _propagate_hermitian(
+        sample, family.omega(pair.times[0]) @ phi0, *_substep_plan(grid, step)
+    )
+    phi_lower = np.concatenate([
+        np.einsum("kij,kj->ki", family.omega_inv(lower.times[sl]), lower.states[sl])
+        for sl in _map_slices(lower.times.size, hamiltonian.dim)
+    ])
 
     ops = evolution_operators(hamiltonian, family, grid, step)
     phi_ops = np.einsum("kij,j->ki", ops.u_right, phi0)

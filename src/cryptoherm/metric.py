@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateOverlap,
@@ -34,6 +33,16 @@ from .linalg import (
 
 #: condition number of the map beyond which residual guarantees degrade
 COND_WARN = 1e6
+
+#: numerator coefficients b₀…b₁₃ of the degree-13 diagonal Padé approximant
+#: to exp, divided by b₀ so that θ = 0 gives exactly I, and the 1-norm θ₁₃ up
+#: to which it needs no scaling (Higham 2005)
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+))
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +87,16 @@ class DysonFamily:
         polynomial θ(t) = Σ_k theta[k]·t^k.  Because G commutes with
         exp(θ(t)G), the derivative is exactly Ω̇(t) = θ′(t)·G·Ω(t) and the
         connection Ω⁻¹Ω̇ = θ′(t)·G needs no exponentials at all.
+
+    :meth:`omega` and :meth:`omega_inv` take a time or an array of times and
+    return a map per time, shape ``np.shape(t) + (d, d)``; a constant family
+    broadcasts its matrix.  For ``exp_poly`` every time goes through one
+    batched degree-13 Padé evaluation with scaling and squaring (Higham
+    2005): A = θ(t)·G is a multiple of one matrix, so p(A) and q(A) are sums
+    of the cached powers of G with per-time weights, Ω = q(A)⁻¹p(A) is one
+    batched solve, and Ω⁻¹ = exp(−θ(t)·G) swaps the roles of p and q.  A
+    scalar time is a batch of one and gives the same bits as its row in an
+    array call.
 
     Use the :meth:`constant` / :meth:`exp_poly` constructors; they validate
     their inputs (a constant map must be invertible, an exponential map
@@ -126,23 +145,66 @@ class DysonFamily:
             return (0.0,)
         return tuple(npoly.polyder(self.theta))
 
-    def theta_at(self, t: float) -> float:
-        return float(npoly.polyval(t, self.theta))
+    def theta_at(self, t):
+        """θ(t); an array of times gives an array of angles."""
+        theta = npoly.polyval(t, self.theta)
+        return theta if np.ndim(theta) else float(theta)
 
     def theta_rate(self, t):
         """θ′(t); an array of times gives an array of rates."""
         rate = npoly.polyval(t, self._theta_rate_coeffs)
         return rate if np.ndim(rate) else float(rate)
 
-    def omega(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self.matrix
-        return expm(self.theta_at(t) * self.generator)
+    @cached_property
+    def _powers(self) -> tuple[float, float, np.ndarray]:
+        """(2^e, ‖Ĝ‖₁, Ĝ⁰…Ĝ¹³) for Ĝ = G/2^e, with e chosen so ‖Ĝ‖₁ < 1."""
+        norm = float(np.abs(self.generator).sum(axis=0).max())
+        scale = 2.0 ** np.frexp(norm)[1]
+        g = self.generator / scale
+        powers = np.empty((len(_PADE13),) + g.shape, dtype=complex)
+        powers[0] = np.eye(self.dim)
+        for k in range(1, len(_PADE13)):
+            np.matmul(powers[k - 1], g, out=powers[k])
+        return scale, norm / scale, powers
 
-    def omega_inv(self, t: float) -> np.ndarray:
+    def _exp(self, theta) -> np.ndarray:
+        """exp(θ·G) for each entry of ``theta``, shape ``np.shape(theta) + (d, d)``.
+
+        Each θ·G = x·2^s·Ĝ gets its own scaling s, the smallest with
+        |x|·‖Ĝ‖₁ ≤ θ₁₃; the Padé sums are elementwise per time, so an entry's
+        result does not depend on the rest of the batch.
+        """
+        scale, norm, powers = self._powers
+        y = np.ravel(theta) * scale
+        s = np.ceil(np.log2(np.maximum(np.abs(y) * norm / _THETA13, 1.0))).astype(int)
+        x = np.ldexp(y, -s)
+        even = np.zeros((x.size,) + powers.shape[1:], dtype=complex)
+        odd = np.zeros_like(even)
+        xk = np.ones_like(x)
+        for k, (b, power) in enumerate(zip(_PADE13, powers)):
+            acc = odd if k % 2 else even
+            acc += (b * xk)[:, None, None] * power
+            xk = xk * x
+        p = even + odd
+        q = np.subtract(even, odd, out=even)
+        r = np.linalg.solve(q, p)
+        for j in range(s.max(initial=0)):
+            squared = s > j
+            sub = r[squared]
+            r[squared] = sub @ sub
+        return r.reshape(np.shape(theta) + r.shape[1:])
+
+    def omega(self, t) -> np.ndarray:
+        """Ω(t); an array of times gives a stack of maps."""
         if self.kind == "constant":
-            return self._matrix_inv
-        return expm(-self.theta_at(t) * self.generator)
+            return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
+        return self._exp(self.theta_at(t))
+
+    def omega_inv(self, t) -> np.ndarray:
+        """Ω⁻¹(t) = exp(−θ(t)·G); an array of times gives a stack of maps."""
+        if self.kind == "constant":
+            return np.broadcast_to(self._matrix_inv, np.shape(t) + self.matrix.shape)
+        return self._exp(-self.theta_at(t))
 
     def omega_dot(self, t: float) -> np.ndarray:
         if self.kind == "constant":

@@ -261,30 +261,47 @@ def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -
     )
 
 
-def _planted_spectrum(rng, dim: int, min_gap: float = 0.1) -> np.ndarray:
-    while True:
-        values = np.sort(rng.uniform(-2.0, 2.0, dim))
-        if dim == 1 or np.diff(values).min() >= min_gap:
-            return values
+#: planted eigenvalues lie in [−2, 2], at least this far apart
+PLANTED_GAP = 0.1
+
+
+def _planted_top(dim: int, min_gap: float = PLANTED_GAP) -> float:
+    """Upper end of [−2, 2] shortened by (dim − 1)·gap; ``ValueError`` unless
+    some room is left, that is unless (dim − 1)·gap < 4."""
+    top = 2.0 - (dim - 1) * min_gap
+    if not top > -2.0:
+        raise ValueError(f"cannot plant {dim} eigenvalues {min_gap} apart in [-2, 2]")
+    return top
+
+
+def _planted_spectrum(rng, dim: int, min_gap: float = PLANTED_GAP) -> np.ndarray:
+    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``min_gap``.
+
+    Sorted uniforms on the interval shortened by (dim − 1)·gap, plus k·gap for
+    the k-th, have the law of uniform draws conditioned on the gaps, and take
+    one draw.
+    """
+    top = _planted_top(dim, min_gap)
+    return np.sort(rng.uniform(-2.0, top, dim)) + min_gap * np.arange(dim)
 
 
 def sample_shared(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with both coefficients similar through one random S;
     a stationary metric exists by construction."""
+    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
     s = _random_similarity(rng, dim, cond_cap=100.0)
     s_inv = np.linalg.inv(s)
-    h0 = (s * _planted_spectrum(rng, dim)) @ s_inv
-    h1 = (s * _planted_spectrum(rng, dim)) @ s_inv
-    return TaylorHamiltonian((h0, h1))
+    return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
 
 
 def sample_independent(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with independently drawn similarity transforms;
     generically no stationary metric exists."""
+    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
     s0 = _random_similarity(rng, dim, cond_cap=100.0)
     s1 = _random_similarity(rng, dim, cond_cap=100.0)
-    h0 = (s0 * _planted_spectrum(rng, dim)) @ np.linalg.inv(s0)
-    h1 = (s1 * _planted_spectrum(rng, dim)) @ np.linalg.inv(s1)
+    h0 = (s0 * e0) @ np.linalg.inv(s0)
+    h1 = (s1 * e1) @ np.linalg.inv(s1)
     return TaylorHamiltonian((h0, h1))
 
 
@@ -316,6 +333,8 @@ def qs_scan(
     of :data:`SAMPLERS`).  Trial i uses ``default_rng(seed + i)``, so trials
     are independent and the whole scan is deterministic given the seed.
     Decomposition failures and singular overlaps count as exceptional.
+    The built-in samplers plant spectra 0.1 apart in [−2, 2] and raise
+    ``ValueError`` for ``dim`` > 40, where no such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -144,6 +144,16 @@ def test_substep_cap_is_a_validation_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_qs_scan_dimension_beyond_the_planted_spectrum_exits_2(tmp_path):
+    cfg = {"command": "qs-scan", "sampler": "shared", "trials": 1, "n": 41, "seed": 0}
+    with pytest.raises(ValidationError, match="41 eigenvalues"):
+        parse_config(json.dumps(cfg))
+    path = _write(tmp_path, "wide.json", cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    path = _write(tmp_path, "widest.json", dict(cfg, n=40))
+    assert main(["--config", str(path), "--out", str(tmp_path / "ok"), "--quiet"]) == 0
+
+
 def test_exit_codes(tmp_path):
     good = _write(tmp_path, "good.json", {"command": "decompose", "model": {"matrix": MATRIX_2}})
     assert main(["--config", str(good), "--out", str(tmp_path / "a"), "--quiet"]) == 0

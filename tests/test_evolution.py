@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cryptoherm import (
+    DimensionMismatch,
     DysonFamily,
     NonFiniteState,
     NotHermitian,
@@ -412,6 +413,49 @@ def test_operator_memory_stays_within_chunk_budget():
         a.nbytes for a in (ops.times, ops.u_right, ops.u_left_dag, ops.product_residual)
     )
     assert peak < outputs + 2**20
+
+
+def test_pair_memory_stays_within_chunk_budget():
+    ham, fam, phi0, _ = scenario_random(64, 0)
+    grid = np.linspace(0.0, 1.0, 1001)
+    fam.omega(0.0)  # the family keeps the powers of its generator from its first map
+    tracemalloc.start()
+    try:
+        traj = propagate_pair(ham, fam, phi0, None, grid, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(
+        a.nbytes for a in (traj.times, traj.phi, traj.psi, traj.overlap, traj.metric_norm)
+    )
+    assert peak < outputs + 2 * evolution.TABLE_BYTES
+
+
+def test_crosscheck_tabulates_maps_per_chunk(monkeypatch):
+    ham, fam, phi0, grid = scenario_random(4, 3)
+    calls = []
+    for name in ("omega", "omega_inv"):
+        method = getattr(DysonFamily, name)
+
+        def counted(self, t, method=method):
+            calls.append(np.size(t))
+            return method(self, t)
+
+        monkeypatch.setattr(DysonFamily, name, counted)
+    monkeypatch.setattr(TaylorHamiltonian, "evaluate", lambda *a: pytest.fail("per-time H(t)"))
+    report = crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
+    assert report.max_pairwise_deviation() <= 1e-7
+    # 2001 generator times and 11 samples in a few dozen array calls, not ~4000
+    assert len(calls) < 30
+    assert sum(calls) >= 2 * 2001 + 11
+
+
+def test_propagate_h_checks_phi0_against_the_generator():
+    def h_of_t(t):
+        return np.eye(3, dtype=complex)
+
+    with pytest.raises(DimensionMismatch):
+        propagate_h(h_of_t, np.array([1.0, 0.0]), GRID, 1e-2)
 
 
 def test_substep_plan_is_bounded():

@@ -1,10 +1,16 @@
 """Tests for metric construction, Dyson maps, and the metric-weighted algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cryptoherm import (
     DegenerateOverlap,
@@ -24,7 +30,7 @@ from cryptoherm import (
     physical_inner,
     projector_pair,
 )
-from cryptoherm.models import random_cryptohermitian
+from cryptoherm.models import random_cryptohermitian, scenario_falsification, scenario_random
 
 
 def _residual(h, theta):
@@ -245,3 +251,104 @@ def test_exp_poly_family_derivative_identity():
     conn_fd = numeric_connection(fam.omega, t)
     npt.assert_allclose(fam.connection(t), conn_fd, atol=1e-8)
     npt.assert_allclose(dot_exact, fam.omega(t) @ fam.connection(t), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched Padé tables of Ω(t) = exp(θ(t)G) and Ω⁻¹(t), against scipy's expm
+# ---------------------------------------------------------------------------
+
+TABLE_TIMES = np.linspace(-0.5, 1.5, 9)
+
+
+def _scaled_family(seed, dim, norm, kind="random"):
+    """exp_poly family with θ(t) = t whose ‖θ(1)·G‖₁ is ``norm``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "stiff":
+        x = -(x @ x.conj().T)
+    elif kind == "unitary":
+        x = x - x.conj().T
+    return DysonFamily.exp_poly(norm * x / np.abs(x).sum(axis=0).max(), (0.0, 1.0))
+
+
+# scenario families (no scaling), random G with 1-norms ‖θG‖₁ up to 97.5 at
+# t = 1.5, so the tables square s = 0…5 times, and a stiff negative definite
+# −(HH†) up to 1-norm 255 (s = 6).  Past 1-norm ~100 a non-normal exponential is
+# itself conditioned near 1e-13: at 165 both this table and scipy sit about
+# 1e-13 from a 40-digit reference.
+TABLE_FAMILIES = [
+    *(
+        pytest.param(lambda d=d: scenario_random(d, d)[1], id=f"scenario-{d}")
+        for d in (2, 4, 16, 64)
+    ),
+    pytest.param(lambda: scenario_falsification()[1], id="falsification"),
+    *(
+        pytest.param(lambda d=d, n=n: _scaled_family(d, d, n), id=f"random-{d}-{n}")
+        for d in (2, 5, 16, 64)
+        for n in (2.0, 6.0, 20.0, 40.0, 65.0)
+    ),
+    pytest.param(lambda: _scaled_family(7, 16, 170.0, "stiff"), id="stiff"),
+]
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("make", TABLE_FAMILIES)
+def test_omega_table_matches_expm(make):
+    fam = make()
+    omega, omega_inv = fam.omega(TABLE_TIMES), fam.omega_inv(TABLE_TIMES)
+    assert omega.shape == omega_inv.shape == (TABLE_TIMES.size, fam.dim, fam.dim)
+    for t, om, om_inv in zip(TABLE_TIMES, omega, omega_inv):
+        theta_g = fam.theta_at(t) * fam.generator
+        assert _rel_err(om, expm(theta_g)) <= 1e-13
+        assert _rel_err(om_inv, expm(-theta_g)) <= 1e-13
+
+
+@pytest.mark.parametrize("make", [
+    *(p for p in TABLE_FAMILIES if p.id.startswith(("scenario", "falsification"))),
+    *(
+        pytest.param(lambda n=n: _scaled_family(3, 8, n, "unitary"), id=f"unitary-{n}")
+        for n in (2.0, 20.0, 65.0)
+    ),
+])
+def test_omega_table_inverse_is_exact_to_rounding(make):
+    fam = make()
+    product = fam.omega(TABLE_TIMES) @ fam.omega_inv(TABLE_TIMES)
+    assert np.abs(product - np.eye(fam.dim)).max() <= 1e-13
+
+
+def test_omega_scalar_time_is_its_row_of_the_array_call():
+    for fam in (scenario_random(16, 1)[1], _scaled_family(1, 5, 65.0)):
+        omega, omega_inv = fam.omega(TABLE_TIMES), fam.omega_inv(TABLE_TIMES)
+        for k, t in enumerate(TABLE_TIMES):
+            assert np.array_equal(fam.omega(t), omega[k])
+            assert np.array_equal(fam.omega_inv(float(t)), omega_inv[k])
+        grid = TABLE_TIMES.reshape(3, 3)
+        assert np.array_equal(fam.omega(grid), omega.reshape(3, 3, fam.dim, fam.dim))
+
+
+def test_omega_at_zero_angle_is_exactly_identity():
+    for fam in (scenario_random(4, 0)[1], _scaled_family(2, 6, 50.0)):
+        assert fam.theta_at(0.0) == 0.0
+        assert np.array_equal(fam.omega(0.0), np.eye(fam.dim))
+        assert all(np.array_equal(m, np.eye(fam.dim)) for m in fam.omega_inv(np.zeros(3)))
+
+
+def test_constant_family_broadcasts_over_times():
+    omega = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
+    fam = DysonFamily.constant(omega)
+    assert np.array_equal(fam.omega(0.3), omega)
+    assert fam.omega(TABLE_TIMES).shape == (TABLE_TIMES.size, 2, 2)
+    assert np.array_equal(fam.omega_inv(TABLE_TIMES)[4], np.linalg.inv(omega))
+
+
+def test_package_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import cryptoherm, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -18,7 +18,7 @@ from cryptoherm import (
     stationarity_residual,
 )
 from cryptoherm.linalg import principal_sqrt
-from cryptoherm.quasistationary import _solve_weights
+from cryptoherm.quasistationary import _planted_spectrum, _solve_weights
 
 
 def _hermitian(rng, n):
@@ -209,3 +209,21 @@ def test_scan_counts_and_determinism():
 def test_scan_independent_generically_incompatible():
     stats = qs_scan("independent", 20, 4, seed=7)
     assert stats.incompatible >= 19
+
+
+def test_planted_spectrum_infeasible_dimension_raises_at_once():
+    # (41 − 1)·0.1 = 4 leaves no room in [−2, 2]; rejection sampling never returned
+    with pytest.raises(ValueError, match="41 eigenvalues"):
+        qs_scan("shared", 1, 41, 0)
+    for sampler in (sample_shared, sample_independent, sample_shared_degree2):
+        with pytest.raises(ValueError):
+            sampler(np.random.default_rng(0), 41)
+
+
+def test_planted_spectrum_keeps_its_gaps_at_the_largest_dimension():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        values = _planted_spectrum(rng, 40)
+        assert values.shape == (40,)
+        assert np.diff(values).min() >= 0.1 - 1e-12
+        assert -2.0 <= values[0] and values[-1] <= 2.0 + 1e-12
