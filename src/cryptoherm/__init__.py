@@ -42,12 +42,9 @@ from .evolution import (
 )
 from .linalg import (
     BiorthonormalSystem,
-    adjoint,
     as_square_matrix,
     biorthogonal_decompose,
-    identity,
     invert,
-    multiply,
     norm_fro,
     principal_sqrt,
 )

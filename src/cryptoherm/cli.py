@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,24 +28,6 @@ from .errors import (
 from .linalg import biorthogonal_decompose, norm_fro
 from .metric import DysonFamily, hermitize, metric_from_spectral
 from .quasistationary import SAMPLERS, qs_certify, qs_scan, stationarity_residual
-
-COMMANDS = (
-    "decompose",
-    "metric",
-    "hermitize",
-    "evolve",
-    "naive-evolve",
-    "crosscheck",
-    "qs-check",
-    "qs-scan",
-    "demo",
-)
-
-_TOP_KEYS = {
-    "command", "model", "dyson", "grid", "step", "phi0", "psi0", "kappa",
-    "t", "tolerances", "seed", "trials", "n", "sampler", "output",
-}
-_TOLERANCE_KEYS = {"tol_qs", "decompose_tol"}
 
 
 @dataclass
@@ -63,19 +46,26 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
     trials: int | None = None
-    dim: int | None = None
+    n: int | None = None
     sampler: str | None = None
     output_path: str | None = None
     output_format: str = "csv"
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers: every helper appends human-readable messages to `errors`
-# instead of raising, so a single ValidationError can list all violations.
+# parsing: every parser returns the RunConfig fields it sets and appends
+# human-readable messages to `errors` instead of raising, so a single
+# ValidationError can list all violations.
 # ---------------------------------------------------------------------------
 
 def _finite_number(obj) -> bool:
-    return isinstance(obj, (int, float)) and np.isfinite(obj)
+    """A JSON number, not a boolean, within the float range."""
+    return type(obj) in (int, float) and abs(obj) <= sys.float_info.max
+
+
+def _integer(low: int) -> Callable[[object], bool]:
+    """Predicate: a JSON integer, not a boolean, no smaller than ``low``."""
+    return lambda obj: type(obj) is int and obj >= low
 
 
 def _complex_entry(obj, errors, where):
@@ -85,13 +75,6 @@ def _complex_entry(obj, errors, where):
         return complex(obj[0], obj[1])
     errors.append(f"{where} must be a finite number or a [re, im] pair")
     return 0j
-
-
-def _vector(obj, errors, where):
-    if not isinstance(obj, list) or not obj:
-        errors.append(f"{where} must be a non-empty list")
-        return None
-    return np.array([_complex_entry(x, errors, f"{where}[{i}]") for i, x in enumerate(obj)])
 
 
 def _matrix(obj, errors, where):
@@ -109,100 +92,161 @@ def _matrix(obj, errors, where):
 
 
 def _reject_unknown(obj, allowed, errors, where):
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"unknown key {key!r} in {where}")
+    errors.extend(f"unknown key {key!r} in {where}" for key in obj if key not in allowed)
+
+
+def _scalar(name, ok, message, convert):
+    """Parser of a scalar key: sets field ``name`` to ``convert(value)``."""
+    def parse(value, errors):
+        if ok(value):
+            return {name: convert(value)}
+        errors.append(message)
+        return {}
+    return parse
+
+
+def _vector(name):
+    """Parser of a complex vector key that sets the field of the same name."""
+    def parse(obj, errors):
+        if not isinstance(obj, list) or not obj:
+            errors.append(f"{name} must be a non-empty list")
+            return {}
+        entries = [_complex_entry(x, errors, f"{name}[{i}]") for i, x in enumerate(obj)]
+        return {name: np.array(entries)}
+    return parse
 
 
 def _parse_model(obj, errors):
     if not isinstance(obj, dict):
         errors.append("model must be an object")
-        return None, None, None
+        return {}
     _reject_unknown(obj, {"matrix", "taylor", "scenario"}, errors, "model")
     given = [k for k in ("matrix", "taylor", "scenario") if k in obj]
     if len(given) != 1:
         errors.append("model must contain exactly one of: matrix, taylor, scenario")
-        return None, None, None
-    matrix = taylor = scenario = None
+        return {}
     if "matrix" in obj:
         matrix = _matrix(obj["matrix"], errors, "model.matrix")
-    if "taylor" in obj:
-        if not isinstance(obj["taylor"], list) or not obj["taylor"]:
-            errors.append("model.taylor must be a non-empty list of matrices")
-        else:
-            coeffs = [
-                _matrix(c, errors, f"model.taylor[{m}]") for m, c in enumerate(obj["taylor"])
-            ]
-            if all(c is not None for c in coeffs):
-                dims = {c.shape for c in coeffs}
-                if len(dims) != 1:
-                    errors.append("model.taylor coefficients must share one dimension")
-                else:
-                    taylor = evolution.TaylorHamiltonian(tuple(coeffs))
+        return {} if matrix is None else {"matrix": matrix}
     if "scenario" in obj:
-        scenario = obj["scenario"]
-        if scenario != "falsification":
-            errors.append(f"unknown scenario {scenario!r} (available: falsification)")
-    return matrix, taylor, scenario
+        if obj["scenario"] != "falsification":
+            errors.append(f"unknown scenario {obj['scenario']!r} (available: falsification)")
+        return {"scenario": obj["scenario"]}
+    if not isinstance(obj["taylor"], list) or not obj["taylor"]:
+        errors.append("model.taylor must be a non-empty list of matrices")
+        return {}
+    coeffs = [_matrix(c, errors, f"model.taylor[{m}]") for m, c in enumerate(obj["taylor"])]
+    if any(c is None for c in coeffs):
+        return {}
+    if len({c.shape for c in coeffs}) != 1:
+        errors.append("model.taylor coefficients must share one dimension")
+        return {}
+    return {"taylor": evolution.TaylorHamiltonian(tuple(coeffs))}
 
 
 def _parse_dyson(obj, errors):
     if not isinstance(obj, dict):
         errors.append("dyson must be an object")
-        return None
+        return {}
     kind = obj.get("kind")
-    if kind == "constant":
-        _reject_unknown(obj, {"kind", "matrix"}, errors, "dyson")
-        if "matrix" not in obj:
-            errors.append("dyson of kind constant needs a matrix")
-            return None
-        m = _matrix(obj["matrix"], errors, "dyson.matrix")
-        if m is None or errors:
-            return None
-        try:
-            return DysonFamily.constant(m)
-        except SingularMatrix:
-            errors.append("dyson.matrix must be invertible")
-            return None
+    keys = {"constant": ("matrix",), "exp_poly": ("generator", "theta")}.get(kind)
+    if keys is None:
+        errors.append("dyson.kind must be 'constant' or 'exp_poly'")
+        return {}
+    start = len(errors)
+    _reject_unknown(obj, {"kind", *keys}, errors, "dyson")
+    if any(key not in obj for key in keys):
+        errors.append(f"dyson of kind {kind} needs {' and '.join(keys)}")
+        return {}
+    m = _matrix(obj[keys[0]], errors, f"dyson.{keys[0]}")
+    theta = obj.get("theta", [])
+    if not isinstance(theta, list) or not all(_finite_number(x) for x in theta):
+        errors.append("dyson.theta must be a list of finite real numbers")
+    if m is None or len(errors) > start:
+        return {}
     if kind == "exp_poly":
-        _reject_unknown(obj, {"kind", "generator", "theta"}, errors, "dyson")
-        if "generator" not in obj or "theta" not in obj:
-            errors.append("dyson of kind exp_poly needs generator and theta")
-            return None
-        g = _matrix(obj["generator"], errors, "dyson.generator")
-        theta = obj["theta"]
-        if not isinstance(theta, list) or not all(_finite_number(x) for x in theta):
-            errors.append("dyson.theta must be a list of finite real numbers")
-            return None
-        if g is None or errors:
-            return None
-        return DysonFamily.exp_poly(g, theta)
-    errors.append("dyson.kind must be 'constant' or 'exp_poly'")
-    return None
+        return {"dyson": DysonFamily.exp_poly(m, theta)}
+    try:
+        return {"dyson": DysonFamily.constant(m)}
+    except SingularMatrix:
+        errors.append("dyson.matrix must be invertible")
+        return {}
 
 
 def _parse_grid(obj, errors):
     if not isinstance(obj, dict):
         errors.append("grid must be an object")
-        return None
+        return {}
     _reject_unknown(obj, {"t_start", "t_end", "n_samples"}, errors, "grid")
-    if (
-        not _finite_number(obj.get("t_start"))
-        or not _finite_number(obj.get("t_end"))
-        or not isinstance(obj.get("n_samples"), int)
-    ):
-        errors.append("grid needs finite t_start, t_end and integer n_samples")
-        return None
-    t_start = float(obj["t_start"])
-    t_end = float(obj["t_end"])
-    n_samples = int(obj["n_samples"])
-    if n_samples < 2:
-        errors.append("grid.n_samples must be >= 2")
-        return None
-    if not t_start < t_end:
-        errors.append("grid needs t_start < t_end")
-        return None
-    return np.linspace(t_start, t_end, n_samples)
+    t_start, t_end, n_samples = (obj.get(k) for k in ("t_start", "t_end", "n_samples"))
+    # every interval takes at least one substep, so the substep cap bounds
+    # n_samples before linspace allocates the grid
+    cap = evolution.MAX_SUBSTEPS + 1
+    numbers = _finite_number(t_start) and _finite_number(t_end) and _integer(2)(n_samples)
+    if not (numbers and t_start < t_end and n_samples <= cap):
+        errors.append(f"grid needs finite t_start < t_end and integer n_samples in [2, {cap}]")
+        return {}
+    return {"grid": np.linspace(float(t_start), float(t_end), n_samples)}
+
+
+def _parse_tolerances(obj, errors):
+    if not isinstance(obj, dict):
+        errors.append("tolerances must be an object")
+        return {}
+    allowed = {"tol_qs", "decompose_tol"}
+    _reject_unknown(obj, allowed, errors, "tolerances")
+    errors.extend(
+        f"tolerances.{key} must be a positive number"
+        for key, value in obj.items()
+        if key in allowed and not (_finite_number(value) and value > 0)
+    )
+    return {"tolerances": dict(obj)}
+
+
+def _parse_output(obj, errors):
+    if not isinstance(obj, dict):
+        errors.append("output must be an object")
+        return {}
+    _reject_unknown(obj, {"path", "format"}, errors, "output")
+    fields = {"output_path": str(obj["path"])} if "path" in obj else {}
+    if obj.get("format", "csv") not in ("csv", "json"):
+        errors.append("output.format must be 'csv' or 'json'")
+    elif "format" in obj:
+        fields["output_format"] = obj["format"]
+    return fields
+
+
+#: every accepted top-level key and its parser
+_KEYS = {
+    "command": lambda value, errors: {"command": value},
+    "model": _parse_model,
+    "dyson": _parse_dyson,
+    "grid": _parse_grid,
+    "step": _scalar(
+        "step", lambda x: _finite_number(x) and x > 0, "step must be a positive finite number",
+        float,
+    ),
+    "phi0": _vector("phi0"),
+    "psi0": _vector("psi0"),
+    "kappa": _scalar(
+        "kappa",
+        lambda x: isinstance(x, list) and all(_finite_number(k) and k > 0 for k in x),
+        "kappa must be a list of strictly positive finite numbers",
+        lambda x: np.array(x, dtype=float),
+    ),
+    "t": _scalar("t_eval", _finite_number, "t must be a finite number", float),
+    "tolerances": _parse_tolerances,
+    "seed": _scalar("seed", _integer(0), "seed must be an integer >= 0", int),
+    "trials": _scalar("trials", _integer(1), "trials must be a positive integer", int),
+    "n": _scalar("n", _integer(2), "n must be an integer >= 2", int),
+    "sampler": _scalar(
+        "sampler",
+        lambda x: isinstance(x, str) and x in SAMPLERS,
+        f"sampler must be one of {', '.join(sorted(SAMPLERS))}",
+        str,
+    ),
+    "output": _parse_output,
+}
 
 
 def parse_config(document: str) -> RunConfig:
@@ -219,90 +263,23 @@ def parse_config(document: str) -> RunConfig:
         raise ParseError("configuration must be a JSON object")
 
     errors: list[str] = []
-    _reject_unknown(data, _TOP_KEYS, errors, "configuration")
+    fields: dict = {}
+    _reject_unknown(data, _KEYS, errors, "configuration")
+    for key, value in data.items():
+        if key in _KEYS:
+            fields.update(_KEYS[key](value, errors))
 
-    command = data.get("command")
-    if command not in COMMANDS:
+    command = fields.get("command")
+    if not isinstance(command, str) or command not in COMMANDS:
         errors.append(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
         raise ValidationError("; ".join(errors))
+    # the falsification scenario fills the propagation inputs a config leaves out:
+    # always for demo, given model.scenario for the other commands with a step
+    if command == "demo" or ("scenario" in fields and "step" in COMMANDS[command].needs):
+        defaults = zip(("taylor", "dyson", "phi0", "grid"), models.scenario_falsification())
+        fields = {**dict(defaults), **({"step": 1e-3} if command == "demo" else {}), **fields}
 
-    cfg = RunConfig(command=command)
-
-    if "model" in data:
-        cfg.matrix, cfg.taylor, cfg.scenario = _parse_model(data["model"], errors)
-    if "dyson" in data:
-        dyson_errors: list[str] = []
-        cfg.dyson = _parse_dyson(data["dyson"], dyson_errors)
-        errors.extend(dyson_errors)
-    if "grid" in data:
-        cfg.grid = _parse_grid(data["grid"], errors)
-    if "step" in data:
-        if not _finite_number(data["step"]) or not data["step"] > 0:
-            errors.append("step must be a positive finite number")
-        else:
-            cfg.step = float(data["step"])
-    if "phi0" in data:
-        cfg.phi0 = _vector(data["phi0"], errors, "phi0")
-    if "psi0" in data:
-        cfg.psi0 = _vector(data["psi0"], errors, "psi0")
-    if "kappa" in data:
-        if not isinstance(data["kappa"], list) or not all(
-            _finite_number(x) for x in data["kappa"]
-        ):
-            errors.append("kappa must be a list of finite real numbers")
-        else:
-            cfg.kappa = np.array(data["kappa"], dtype=float)
-            if (cfg.kappa <= 0).any():
-                errors.append("kappa entries must be strictly positive")
-    if "t" in data:
-        if not _finite_number(data["t"]):
-            errors.append("t must be a finite number")
-        else:
-            cfg.t_eval = float(data["t"])
-    if "tolerances" in data:
-        if not isinstance(data["tolerances"], dict):
-            errors.append("tolerances must be an object")
-        else:
-            _reject_unknown(data["tolerances"], _TOLERANCE_KEYS, errors, "tolerances")
-            for key, value in data["tolerances"].items():
-                if key in _TOLERANCE_KEYS and (
-                    not isinstance(value, (int, float)) or not value > 0
-                ):
-                    errors.append(f"tolerances.{key} must be a positive number")
-            cfg.tolerances = dict(data["tolerances"])
-    if "seed" in data:
-        if not isinstance(data["seed"], int):
-            errors.append("seed must be an integer")
-        else:
-            cfg.seed = data["seed"]
-    if "trials" in data:
-        if not isinstance(data["trials"], int) or data["trials"] < 1:
-            errors.append("trials must be a positive integer")
-        else:
-            cfg.trials = data["trials"]
-    if "n" in data:
-        if not isinstance(data["n"], int) or data["n"] < 2:
-            errors.append("n must be an integer >= 2")
-        else:
-            cfg.dim = data["n"]
-    if "sampler" in data:
-        if data["sampler"] not in SAMPLERS:
-            errors.append(f"sampler must be one of {', '.join(sorted(SAMPLERS))}")
-        else:
-            cfg.sampler = data["sampler"]
-    if "output" in data:
-        if not isinstance(data["output"], dict):
-            errors.append("output must be an object")
-        else:
-            _reject_unknown(data["output"], {"path", "format"}, errors, "output")
-            if "path" in data["output"]:
-                cfg.output_path = str(data["output"]["path"])
-            if "format" in data["output"]:
-                if data["output"]["format"] not in ("csv", "json"):
-                    errors.append("output.format must be 'csv' or 'json'")
-                else:
-                    cfg.output_format = data["output"]["format"]
-
+    cfg = RunConfig(**fields)
     _validate_command(cfg, errors)
     if errors:
         raise ValidationError("; ".join(errors))
@@ -310,64 +287,30 @@ def parse_config(document: str) -> RunConfig:
 
 
 def _validate_command(cfg: RunConfig, errors: list[str]):
-    need = lambda cond, msg: None if cond else errors.append(msg)
-    cmd = cfg.command
-    if cmd == "decompose":
-        need(cfg.matrix is not None, "decompose needs model.matrix")
-    elif cmd == "metric":
-        need(cfg.matrix is not None, "metric needs model.matrix")
-        need(cfg.kappa is not None, "metric needs kappa")
-        if cfg.matrix is not None and cfg.kappa is not None:
-            need(
-                cfg.kappa.shape[0] == cfg.matrix.shape[0],
-                f"kappa needs {cfg.matrix.shape[0]} entries, got {cfg.kappa.shape[0]}",
-            )
-    elif cmd == "hermitize":
-        need(cfg.matrix is not None, "hermitize needs model.matrix")
-        need(cfg.dyson is not None, "hermitize needs dyson")
-        if cfg.matrix is not None and cfg.dyson is not None:
-            need(
-                cfg.dyson.dim == cfg.matrix.shape[0],
-                "dyson dimension does not match model.matrix",
-            )
-    elif cmd in ("evolve", "naive-evolve", "crosscheck"):
-        if cfg.scenario is None:
-            need(cfg.taylor is not None, f"{cmd} needs model.taylor or model.scenario")
-            need(cfg.dyson is not None, f"{cmd} needs dyson")
-            need(cfg.grid is not None, f"{cmd} needs grid")
-            need(cfg.phi0 is not None, f"{cmd} needs phi0")
-            if cfg.taylor is not None:
-                dim = cfg.taylor.dim
-                if cfg.dyson is not None:
-                    need(cfg.dyson.dim == dim, "dyson dimension does not match model.taylor")
-                if cfg.phi0 is not None:
-                    need(cfg.phi0.shape[0] == dim, f"phi0 needs {dim} entries")
-                if cfg.psi0 is not None:
-                    need(cfg.psi0.shape[0] == dim, f"psi0 needs {dim} entries")
-        need(cfg.step is not None, f"{cmd} needs a positive step")
-        if cmd == "crosscheck":
-            need(cfg.psi0 is None, "crosscheck derives psi0; do not supply it")
-    elif cmd == "qs-check":
-        need(cfg.taylor is not None, "qs-check needs model.taylor")
-        if cfg.taylor is not None:
-            need(cfg.taylor.degree >= 1, "qs-check needs at least two taylor coefficients")
-    elif cmd == "qs-scan":
-        need(cfg.sampler is not None, "qs-scan needs sampler")
-        need(cfg.trials is not None, "qs-scan needs trials")
-        need(cfg.dim is not None, "qs-scan needs n")
-        if cfg.dim is not None:
-            try:  # every sampler plants spectra with a minimum gap
-                quasistationary._planted_top(cfg.dim)
-            except ValueError as exc:
-                errors.append(str(exc))
-    if cmd in ("evolve", "naive-evolve", "crosscheck", "demo") and cfg.step is not None:
-        # the integrator's own plan: step divides the grid, within MAX_SUBSTEPS
-        grid = _scenario_inputs(cfg)[3]
-        if grid is not None:
-            try:
-                evolution._substep_plan(grid, cfg.step)
-            except ValueError as exc:
-                errors.append(str(exc))
+    """The command's inputs from ``COMMANDS``, every sized input against the
+    model dimension, the step plan of a propagation and the command's own check."""
+    command = COMMANDS[cfg.command]
+    # a needed key's field is its last dotted part: model.matrix -> matrix
+    missing = [key for key in command.needs if getattr(cfg, key.rpartition(".")[2]) is None]
+    errors.extend(f"{cfg.command} needs {key}" for key in missing)
+
+    sized = {"model": cfg.taylor if cfg.taylor is not None else cfg.matrix}
+    sized.update((key, getattr(cfg, key)) for key in ("dyson", "phi0", "psi0", "kappa"))
+    # TaylorHamiltonian and DysonFamily have a dim, arrays a length
+    dims = {key: getattr(v, "dim", None) or len(v) for key, v in sized.items() if v is not None}
+    dim = dims.pop("model", None)
+    errors.extend(
+        f"{key} needs dimension {dim}, got {d}" for key, d in dims.items() if dim not in (None, d)
+    )
+
+    if missing:
+        return
+    try:
+        if "step" in command.needs:  # the integrator's own plan: step divides the grid
+            evolution._substep_plan(cfg.grid, cfg.step)
+        command.check(cfg)
+    except ValueError as exc:
+        errors.append(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +321,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [[_pair(x) for x in row] for row in np.asarray(m)]
+def _pairs(array) -> list:
+    """A complex scalar or array as (nested lists of) [re, im] pairs."""
+    return np.stack([array.real, array.imag], -1).tolist()
 
 
 def _write_json(path: Path, obj) -> Path:
@@ -392,139 +331,105 @@ def _write_json(path: Path, obj) -> Path:
     return path
 
 
-def _write_trajectory_csv(path: Path, traj: evolution.StateTrajectory) -> Path:
+def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str) -> Path:
+    drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
+    if fmt == "json":
+        return _write_json(
+            path_base.with_suffix(".json"),
+            {
+                "times": traj.times.tolist(),
+                "phi": _pairs(traj.phi),
+                "psi": _pairs(traj.psi),
+                "overlap": _pairs(traj.overlap),
+                "drift": drift.tolist(),
+            },
+        )
     n = traj.phi.shape[1]
     header = ["t"]
-    header += [f"phi{i}_{p}" for i in range(n) for p in ("re", "im")]
-    header += [f"psi{i}_{p}" for i in range(n) for p in ("re", "im")]
+    header += [f"{v}{i}_{p}" for v in ("phi", "psi") for i in range(n) for p in ("re", "im")]
     header += ["overlap_re", "overlap_im", "drift"]
-    drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
-    lines = [",".join(header)]
-    for k, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for v in traj.phi[k]:
-            row += [_fmt(v.real), _fmt(v.imag)]
-        for v in traj.psi[k]:
-            row += [_fmt(v.real), _fmt(v.imag)]
-        row += [_fmt(traj.overlap[k].real), _fmt(traj.overlap[k].imag), _fmt(drift[k])]
-        lines.append(",".join(row))
+    # one complex table viewed as [re, im] columns; t and drift keep only re
+    table = np.column_stack([traj.times, traj.phi, traj.psi, traj.overlap, drift]).view(float)
+    rows = np.delete(table, [1, -1], axis=1).tolist()
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    path = path_base.with_suffix(".csv")
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def _trajectory_json(traj: evolution.StateTrajectory) -> dict:
-    drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
-    return {
-        "times": [float(t) for t in traj.times],
-        "phi": [[_pair(v) for v in row] for row in traj.phi],
-        "psi": [[_pair(v) for v in row] for row in traj.psi],
-        "overlap": [_pair(v) for v in traj.overlap],
-        "drift": [float(d) for d in drift],
-    }
-
-
-def _write_trajectory(path_base: Path, traj, fmt: str) -> Path:
-    if fmt == "json":
-        return _write_json(path_base.with_suffix(".json"), _trajectory_json(traj))
-    return _write_trajectory_csv(path_base.with_suffix(".csv"), traj)
-
-
-def _trajectory_summary(traj: evolution.StateTrajectory) -> dict:
-    return {
-        "samples": int(traj.times.size),
-        "max_norm_drift": float(traj.max_norm_drift),
-        "max_metric_drift": float(traj.max_metric_drift),
-        "overlap_initial": _pair(traj.overlap[0]),
-        "overlap_final": _pair(traj.overlap[-1]),
-        "metric_norm_initial": float(traj.metric_norm[0]),
-        "metric_norm_final": float(traj.metric_norm[-1]),
-    }
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each writes its artifacts into `out` and returns the
+# written paths and a one-line summary
 # ---------------------------------------------------------------------------
 
-def _scenario_inputs(cfg: RunConfig):
-    if cfg.scenario is not None or cfg.command == "demo":
-        ham, fam, phi0, grid = models.scenario_falsification()
-        grid = cfg.grid if cfg.grid is not None else grid
-        return ham, fam, phi0, grid
-    return cfg.taylor, cfg.dyson, cfg.phi0, cfg.grid
-
-
-def _run_decompose(cfg, out, quiet):
-    tol = cfg.tolerances.get("decompose_tol", 1e-10)
-    system = biorthogonal_decompose(cfg.matrix, tol)
+def _run_decompose(cfg, out):
+    system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", 1e-10))
     payload = {
-        "eigenvalues": [_pair(e) for e in system.eigenvalues],
-        "right_vectors": _matrix_json(system.right_vectors),
-        "left_vectors": _matrix_json(system.left_vectors),
+        "eigenvalues": _pairs(system.eigenvalues),
+        "right_vectors": _pairs(system.right_vectors),
+        "left_vectors": _pairs(system.left_vectors),
         "condition_estimate": float(system.condition_estimate),
         "biorthonormality_residual": float(system.biorthonormality_residual()),
         "completeness_residual": float(system.completeness_residual()),
     }
     path = _write_json(out / "decomposition.json", payload)
-    if not quiet:
-        print(f"wrote {path} ({system.dim} eigenvalues)")
-    return [path]
+    return [path], f"wrote {path} ({system.dim} eigenvalues)"
 
 
-def _run_metric(cfg, out, quiet):
+def _run_metric(cfg, out):
     system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", 1e-10))
     theta = metric_from_spectral(system, cfg.kappa)
     residual = stationarity_residual(cfg.matrix, theta.matrix)
     payload = {
-        "theta": _matrix_json(theta.matrix),
+        "theta": _pairs(theta.matrix),
         "min_eig": theta.min_eig,
         "max_eig": theta.max_eig,
         "quasi_hermiticity_residual": residual,
     }
     path = _write_json(out / "metric.json", payload)
-    if not quiet:
-        print(f"wrote {path} (residual {residual:.3e})")
-    return [path]
+    return [path], f"wrote {path} (residual {residual:.3e})"
 
 
-def _run_hermitize(cfg, out, quiet):
-    omega = cfg.dyson.omega(cfg.t_eval)
-    h = hermitize(cfg.matrix, omega)
+def _run_hermitize(cfg, out):
+    h = hermitize(cfg.matrix, cfg.dyson.omega(cfg.t_eval))
     residual = norm_fro(h - h.conj().T) / max(norm_fro(h), np.finfo(float).tiny)
-    eigs = np.sort_complex(np.linalg.eigvals(h))
     payload = {
-        "h": _matrix_json(h),
+        "h": _pairs(h),
         "hermiticity_residual": float(residual),
-        "eigenvalues": [_pair(e) for e in eigs],
+        "eigenvalues": _pairs(np.sort_complex(np.linalg.eigvals(h))),
         "t": cfg.t_eval,
     }
     path = _write_json(out / "hermitize.json", payload)
-    if not quiet:
-        print(f"wrote {path} (Hermiticity residual {residual:.3e})")
-    return [path]
+    return [path], f"wrote {path} (Hermiticity residual {residual:.3e})"
 
 
-def _run_evolve(cfg, out, quiet, naive=False):
-    ham, fam, phi0, grid = _scenario_inputs(cfg)
-    step = cfg.step if cfg.step is not None else 1e-3
+def _run_evolve(cfg, out, naive=False):
     propagate = evolution.propagate_naive if naive else evolution.propagate_pair
-    traj = propagate(ham, fam, phi0, cfg.psi0, grid, step)
+    traj = propagate(cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step)
     base = "naive_trajectory" if naive else "trajectory"
     paths = [
         _write_trajectory(out / base, traj, cfg.output_format),
-        _write_json(out / f"{base}_summary.json", _trajectory_summary(traj)),
+        _write_json(
+            out / f"{base}_summary.json",
+            {
+                "samples": int(traj.times.size),
+                "max_norm_drift": float(traj.max_norm_drift),
+                "max_metric_drift": float(traj.max_metric_drift),
+                "overlap_initial": _pairs(traj.overlap[0]),
+                "overlap_final": _pairs(traj.overlap[-1]),
+                "metric_norm_initial": float(traj.metric_norm[0]),
+                "metric_norm_final": float(traj.metric_norm[-1]),
+            },
+        ),
     ]
-    if not quiet:
-        print(
-            f"wrote {paths[0]} (overlap drift {traj.max_norm_drift:.3e}, "
-            f"metric-norm drift {traj.max_metric_drift:.3e})"
-        )
-    return paths
+    return paths, (
+        f"wrote {paths[0]} (overlap drift {traj.max_norm_drift:.3e}, "
+        f"metric-norm drift {traj.max_metric_drift:.3e})"
+    )
 
 
-def _run_crosscheck(cfg, out, quiet):
-    ham, fam, phi0, grid = _scenario_inputs(cfg)
-    step = cfg.step if cfg.step is not None else 1e-3
-    report = evolution.crosscheck_pictures(ham, fam, phi0, grid, step)
+def _run_crosscheck(cfg, out):
+    report = evolution.crosscheck_pictures(cfg.taylor, cfg.dyson, cfg.phi0, cfg.grid, cfg.step)
     payload = {
         "dev_pair_lower": report.dev_pair_lower,
         "dev_pair_operators": report.dev_pair_operators,
@@ -533,12 +438,10 @@ def _run_crosscheck(cfg, out, quiet):
         "samples": int(report.times.size),
     }
     path = _write_json(out / "crosscheck.json", payload)
-    if not quiet:
-        print(f"wrote {path} (max deviation {report.max_pairwise_deviation():.3e})")
-    return [path]
+    return [path], f"wrote {path} (max deviation {report.max_pairwise_deviation():.3e})"
 
 
-def _run_qs_check(cfg, out, quiet):
+def _run_qs_check(cfg, out):
     tol = cfg.tolerances.get("tol_qs", quasistationary.DEFAULT_TOL_QS)
     cert = qs_certify(cfg.taylor, tol)
     payload = {
@@ -547,34 +450,26 @@ def _run_qs_check(cfg, out, quiet):
         "first_violation_order": cert.first_violation_order,
         "residuals": [float(r) for r in cert.residuals],
         "detail": cert.detail,
-        "theta": None if cert.metric is None else _matrix_json(cert.metric.matrix),
+        "theta": None if cert.metric is None else _pairs(cert.metric.matrix),
     }
     path = _write_json(out / "certificate.json", payload)
-    if not quiet:
-        print(f"wrote {path} (status {cert.status})")
-    return [path]
+    return [path], f"wrote {path} (status {cert.status})"
 
 
-def _run_qs_scan(cfg, out, quiet, seed_override=None):
+def _run_qs_scan(cfg, out):
     tol = cfg.tolerances.get("tol_qs", quasistationary.DEFAULT_TOL_QS)
-    seed = cfg.seed if seed_override is None else seed_override
-    stats = qs_scan(cfg.sampler, cfg.trials, cfg.dim, seed, tol)
-    payload = dict(stats.as_flat_dict())
-    payload["sampler"] = cfg.sampler
-    path = _write_json(out / "qs_scan.json", payload)
-    if not quiet:
-        print(
-            f"wrote {path} (compatible {stats.compatible}, "
-            f"incompatible {stats.incompatible}, exceptional {stats.exceptional})"
-        )
-    return [path]
+    stats = qs_scan(cfg.sampler, cfg.trials, cfg.n, cfg.seed, tol)
+    path = _write_json(out / "qs_scan.json", {**stats.as_flat_dict(), "sampler": cfg.sampler})
+    return [path], (
+        f"wrote {path} (compatible {stats.compatible}, "
+        f"incompatible {stats.incompatible}, exceptional {stats.exceptional})"
+    )
 
 
-def _run_demo(cfg, out, quiet):
-    ham, fam, phi0, grid = models.scenario_falsification()
-    step = cfg.step if cfg.step is not None else 1e-3
-    covariant = evolution.propagate_pair(ham, fam, phi0, None, grid, step)
-    naive = evolution.propagate_naive(ham, fam, phi0, None, grid, step)
+def _run_demo(cfg, out):
+    args = (cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step)
+    covariant = evolution.propagate_pair(*args)
+    naive = evolution.propagate_naive(*args)
     covariant_drift = max(covariant.max_norm_drift, covariant.max_metric_drift)
     ratio = naive.max_metric_drift / max(covariant_drift, np.finfo(float).tiny)
     paths = [
@@ -591,38 +486,61 @@ def _run_demo(cfg, out, quiet):
             },
         ),
     ]
-    if not quiet:
-        print(
-            f"wrote {paths[0]} and {paths[1]}: covariant metric-norm drift "
-            f"{covariant.max_metric_drift:.3e} vs naive {naive.max_metric_drift:.3e} "
-            f"(ratio {ratio:.1e})"
-        )
-    return paths
+    return paths, (
+        f"wrote {paths[0]} and {paths[1]}: covariant metric-norm drift "
+        f"{covariant.max_metric_drift:.3e} vs naive {naive.max_metric_drift:.3e} "
+        f"(ratio {ratio:.1e})"
+    )
+
+
+def _no_psi0(cfg):
+    if cfg.psi0 is not None:
+        raise ValueError("crosscheck derives psi0; do not supply it")
+
+
+def _two_coefficients(cfg):
+    if cfg.taylor.degree < 1:
+        raise ValueError("qs-check needs at least two taylor coefficients")
+
+
+class _Command(NamedTuple):
+    #: (cfg, out) -> (written paths, summary line)
+    handler: Callable
+    #: config keys the command needs; the RunConfig field is the last dotted part
+    needs: tuple = ()
+    #: cfg -> anything; raises ValueError when the command rejects its inputs
+    check: Callable = lambda cfg: None
+
+
+_PROPAGATION = ("model.taylor", "dyson", "grid", "phi0", "step")
+
+#: every command, in the order the usage message lists them
+COMMANDS = {
+    "decompose": _Command(_run_decompose, ("model.matrix",)),
+    "metric": _Command(_run_metric, ("model.matrix", "kappa")),
+    "hermitize": _Command(_run_hermitize, ("model.matrix", "dyson")),
+    "evolve": _Command(_run_evolve, _PROPAGATION),
+    "naive-evolve": _Command(lambda cfg, out: _run_evolve(cfg, out, naive=True), _PROPAGATION),
+    "crosscheck": _Command(_run_crosscheck, _PROPAGATION, _no_psi0),
+    "qs-check": _Command(_run_qs_check, ("model.taylor",), _two_coefficients),
+    # every sampler plants spectra with a minimum gap, which bounds n
+    "qs-scan": _Command(
+        _run_qs_scan, ("sampler", "trials", "n"), lambda cfg: quasistationary._planted_top(cfg.n)
+    ),
+    "demo": _Command(_run_demo, _PROPAGATION),
+}
 
 
 def run(cfg: RunConfig, out_dir, seed_override=None, quiet=False) -> list[Path]:
     """Execute a validated configuration; returns the written artifact paths."""
+    if seed_override is not None:
+        cfg = replace(cfg, seed=seed_override)
     out = Path(cfg.output_path) if cfg.output_path else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.command == "decompose":
-        return _run_decompose(cfg, out, quiet)
-    if cfg.command == "metric":
-        return _run_metric(cfg, out, quiet)
-    if cfg.command == "hermitize":
-        return _run_hermitize(cfg, out, quiet)
-    if cfg.command == "evolve":
-        return _run_evolve(cfg, out, quiet, naive=False)
-    if cfg.command == "naive-evolve":
-        return _run_evolve(cfg, out, quiet, naive=True)
-    if cfg.command == "crosscheck":
-        return _run_crosscheck(cfg, out, quiet)
-    if cfg.command == "qs-check":
-        return _run_qs_check(cfg, out, quiet)
-    if cfg.command == "qs-scan":
-        return _run_qs_scan(cfg, out, quiet, seed_override)
-    if cfg.command == "demo":
-        return _run_demo(cfg, out, quiet)
-    raise ValidationError(f"unknown command {cfg.command!r}")
+    paths, summary = COMMANDS[cfg.command].handler(cfg, out)
+    if not quiet:
+        print(summary)
+    return paths
 
 
 def main(argv=None) -> int:
@@ -635,6 +553,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be an integer >= 0")
 
     try:
         text = Path(args.config).read_text()
@@ -642,18 +562,10 @@ def main(argv=None) -> int:
         print(f"ParseError: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
+        run(parse_config(text), args.out, seed_override=args.seed, quiet=args.quiet)
+    except (ConfigError, NumericalError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run(cfg, args.out, seed_override=args.seed, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix core: adjoints, inverses, principal square roots, and
+"""Dense complex matrix core: inverses, principal square roots, and
 biorthogonal eigendecomposition of diagonalizable non-normal matrices.
 
 All functions treat their array arguments as immutable values and return
@@ -42,27 +42,6 @@ def as_state(vector, dim: int) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] != dim:
         raise DimensionMismatch(f"expected a length-{dim} vector, got shape {v.shape}")
     return v
-
-
-def identity(n: int) -> np.ndarray:
-    """Complex identity matrix of dimension ``n``."""
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    return np.eye(n, dtype=complex)
-
-
-def adjoint(matrix) -> np.ndarray:
-    """Hermitian conjugate M†.  Applying it twice reproduces M exactly."""
-    return as_square_matrix(matrix).conj().T.copy()
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    am = np.asarray(a, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
-    if am.shape[-1] != bm.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {am.shape} and {bm.shape}")
-    return am @ bm
 
 
 def norm_fro(matrix) -> float:

@@ -1,13 +1,16 @@
 """Tests for the command-line front end: parsing, artifacts, exit codes."""
 
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cryptoherm import biorthogonal_decompose
-from cryptoherm.cli import main, parse_config, run
+from cryptoherm import biorthogonal_decompose, cli
+from cryptoherm.cli import COMMANDS, main, parse_config, run
 from cryptoherm.errors import ValidationError
 
 
@@ -279,3 +282,149 @@ def test_crosscheck_command(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "cc"), "--quiet"]) == 0
     payload = json.loads((tmp_path / "cc" / "crosscheck.json").read_text())
     assert payload["max_pairwise_deviation"] <= 1e-7
+
+
+def _exit_code(tmp_path, cfg, *flags):
+    """Exit code of a CLI run of ``cfg`` into ``tmp_path / "out"``."""
+    path = _write(tmp_path, "cfg.json", cfg)
+    return main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", *flags])
+
+
+SCENARIO = {"model": {"scenario": "falsification"}, "step": 0.01}
+EYE_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        # demo runs on the grid its step was validated against
+        ({"command": "demo", "grid": {"t_start": 0, "t_end": 1, "n_samples": 3}, "step": 0.5}, 0),
+        # inputs given beside a scenario are checked against its dimension
+        ({"command": "evolve", **SCENARIO, "psi0": [1, 2, 3]}, 2),
+        ({"command": "evolve", **SCENARIO, "dyson": {"kind": "constant", "matrix": EYE_3}}, 2),
+        ({"command": "evolve", **SCENARIO, "phi0": [1, 0, 0]}, 2),
+    ],
+)
+def test_scenario_inputs_are_validated_as_they_run(tmp_path, cfg, code):
+    assert _exit_code(tmp_path, cfg) == code
+    assert (tmp_path / "out").exists() == (code == 0)
+    if cfg["command"] == "demo":
+        rows = (tmp_path / "out" / "covariant.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5, 1.0]
+
+
+def test_scenario_fills_only_what_the_config_leaves_out(tmp_path):
+    cfg = parse_config(json.dumps({"command": "evolve", **SCENARIO, "phi0": [0, 1]}))
+    npt.assert_array_equal(cfg.phi0, [0, 1])
+    assert cfg.dyson is not None and cfg.grid.size == 21
+    assert _exit_code(tmp_path, {"command": "evolve", **SCENARIO, "phi0": [0, 1]}) == 0
+    first = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert [float(x) for x in first[1:5]] == [0.0, 0.0, 1.0, 0.0]
+
+
+SCAN = {"command": "qs-scan", "sampler": "shared", "trials": 1, "n": 3}
+
+
+@pytest.mark.parametrize("key, value", [("trials", True), ("seed", True), ("seed", -1)])
+def test_booleans_and_negative_seeds_exit_2(tmp_path, key, value):
+    assert _exit_code(tmp_path, dict(SCAN, **{key: value})) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        _exit_code(tmp_path, SCAN, "--seed", "-1")
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_sample_cap_rejects_before_allocating(tmp_path):
+    cfg = dict(EVOLVE_CFG, grid={"t_start": 0.0, "t_end": 1.0, "n_samples": 10**12})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="n_samples"):
+            parse_config(json.dumps(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _exit_code(tmp_path, cfg) == 2
+
+
+#: one accepted configuration per command
+VALID = {
+    "decompose": {"command": "decompose", "model": {"matrix": MATRIX_2}},
+    "metric": {"command": "metric", "model": {"matrix": MATRIX_2}, "kappa": [1, 1]},
+    "hermitize": {
+        "command": "hermitize",
+        "model": {"matrix": MATRIX_2},
+        "dyson": {"kind": "constant", "matrix": [[1, 0], [0, 1]]},
+    },
+    **{name: dict(EVOLVE_CFG, command=name) for name in ("evolve", "naive-evolve", "crosscheck")},
+    "qs-check": {"command": "qs-check", "model": {"taylor": [[[1, 0], [0, 2]], [[1, 0], [0, -1]]]}},
+    "qs-scan": SCAN,
+    "demo": {"command": "demo"},
+}
+
+#: one invalid value per top-level key, set on an otherwise valid config
+INVALID = {
+    "command": "nope",
+    "model": {},
+    "dyson": {"kind": "constant", "matrix": [[1, 2], [2, 4]]},
+    "grid": {"t_start": 0, "t_end": 1, "n_samples": True},
+    "step": True,
+    "phi0": [True, 0],
+    "psi0": [],
+    "kappa": [1, True],
+    "t": True,
+    "tolerances": {"tol_qs": True},
+    "seed": 1.0,
+    "trials": 0,
+    "n": True,
+    "sampler": ["shared"],
+    "output": {"format": "xml"},
+}
+
+# a requirement is left out by dropping its top-level key; demo has none
+# to drop, since the falsification scenario fills every input it needs
+REQUIREMENTS = [
+    (name, key)
+    for name, command in COMMANDS.items()
+    for key in command.needs
+    if key.split(".")[0] in VALID[name]
+]
+
+
+def test_tables_are_covered():
+    assert set(VALID) == set(COMMANDS)
+    assert set(INVALID) == set(cli._KEYS)
+    assert {name for name, _ in REQUIREMENTS} == set(COMMANDS) - {"demo"}
+
+
+@pytest.mark.parametrize("key", sorted(INVALID))
+def test_every_key_rejects_an_invalid_value(tmp_path, key):
+    cfg = dict(EVOLVE_CFG, **{key: INVALID[key]})
+    with pytest.raises(ValidationError, match=rf"(^|; ){re.escape(key)}\b"):
+        parse_config(json.dumps(cfg))
+    assert _exit_code(tmp_path, cfg) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, key", REQUIREMENTS)
+def test_every_requirement_is_checked(tmp_path, name, key):
+    cfg = {k: v for k, v in VALID[name].items() if k != key.split(".")[0]}
+    with pytest.raises(ValidationError, match=f"{name} needs {re.escape(key)}"):
+        parse_config(json.dumps(cfg))
+    assert _exit_code(tmp_path, cfg) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_every_command_accepts_its_valid_config(name):
+    assert parse_config(json.dumps(VALID[name])).command == name
+
+
+def test_readme_lists_exactly_the_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    assert re.findall(r"^\| `([a-z-]+)` \|", section, re.M) == list(COMMANDS)

@@ -11,11 +11,8 @@ from cryptoherm import (
     DimensionMismatch,
     NotPositiveDefinite,
     SingularMatrix,
-    adjoint,
     biorthogonal_decompose,
-    identity,
     invert,
-    multiply,
     norm_fro,
     principal_sqrt,
 )
@@ -126,26 +123,10 @@ def test_invert_singular_raises():
 def test_invert_residual():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    npt.assert_allclose(multiply(a, invert(a)), np.eye(5), atol=1e-12)
+    npt.assert_allclose(a @ invert(a), np.eye(5), atol=1e-12)
 
 
-def test_adjoint_values_and_involution():
-    m = np.array([[0.0, 1j], [0.0, 0.0]])
-    npt.assert_array_equal(adjoint(m), np.array([[0.0, 0.0], [-1j, 0.0]]))
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    npt.assert_array_equal(adjoint(adjoint(a)), a)
-
-
-def test_multiply_shape_check():
-    with pytest.raises(DimensionMismatch):
-        multiply(np.eye(2), np.eye(3))
-
-
-def test_identity_and_validation():
-    npt.assert_array_equal(identity(3), np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        identity(0)
+def test_decompose_rejects_non_finite_and_non_square():
     with pytest.raises(ValueError):
         biorthogonal_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
