@@ -61,23 +61,23 @@ from .metric import (
     projector_pair,
 )
 from .models import (
+    SAMPLERS,
     GridSpec,
     discretize_schrodinger,
     model_2x2,
     random_cryptohermitian,
+    sample_independent,
+    sample_shared,
+    sample_shared_degree2,
     scenario_falsification,
     scenario_random,
 )
 from .quasistationary import (
     QSCertificate,
-    SAMPLERS,
     ScanStats,
     qs_certify,
     qs_scan,
     qs_solve,
-    sample_independent,
-    sample_shared,
-    sample_shared_degree2,
     stationarity_residual,
 )
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -77,18 +79,38 @@ def _complex_entry(obj, errors, where):
     return 0j
 
 
+def _complex_entries(entries: list, errors, where) -> np.ndarray:
+    """The complex array of a flat list of finite numbers and [re, im] pairs.
+
+    The whole list is converted and checked at once; only a list that fails
+    goes entry by entry, which names each offending entry ``where(k)``.
+    Values at the float maximum go that way too, because an integer beyond
+    the float range converts to it.
+    """
+    pairs = [x if type(x) is list else (x, 0.0) for x in entries]
+    try:
+        values = np.array(pairs, dtype=float)
+        numbers = set(map(type, chain.from_iterable(pairs))) <= {int, float}
+    except (TypeError, ValueError, OverflowError):
+        values, numbers = None, False
+    in_range = numbers and values.shape == (len(entries), 2)
+    if in_range and (np.abs(values) < sys.float_info.max).all():
+        return values.view(complex)[:, 0]
+    return np.array([_complex_entry(x, errors, where(k)) for k, x in enumerate(entries)])
+
+
 def _matrix(obj, errors, where):
     if not isinstance(obj, list) or not obj:
         errors.append(f"{where} must be a non-empty list of rows")
         return None
     n = len(obj)
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            errors.append(f"{where} row {i} must have {n} entries (square matrix)")
-            return None
-        rows.append([_complex_entry(x, errors, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows)
+    ragged = next((i for i, row in enumerate(obj) if not isinstance(row, list) or len(row) != n), n)
+    entries = [x for row in obj[:ragged] for x in row]
+    matrix = _complex_entries(entries, errors, lambda k: f"{where}[{k // n}][{k % n}]")
+    if ragged < n:
+        errors.append(f"{where} row {ragged} must have {n} entries (square matrix)")
+        return None
+    return matrix.reshape(n, n)
 
 
 def _reject_unknown(obj, allowed, errors, where):
@@ -111,8 +133,7 @@ def _vector(name):
         if not isinstance(obj, list) or not obj:
             errors.append(f"{name} must be a non-empty list")
             return {}
-        entries = [_complex_entry(x, errors, f"{name}[{i}]") for i, x in enumerate(obj)]
-        return {name: np.array(entries)}
+        return {name: _complex_entries(obj, errors, lambda k: f"{name}[{k}]")}
     return parse
 
 
@@ -208,7 +229,11 @@ def _parse_output(obj, errors):
         errors.append("output must be an object")
         return {}
     _reject_unknown(obj, {"path", "format"}, errors, "output")
-    fields = {"output_path": str(obj["path"])} if "path" in obj else {}
+    fields = {}
+    if isinstance(obj.get("path"), str) and obj["path"]:
+        fields["output_path"] = obj["path"]
+    elif "path" in obj:
+        errors.append("output.path must be a non-empty string")
     if obj.get("format", "csv") not in ("csv", "json"):
         errors.append("output.format must be 'csv' or 'json'")
     elif "format" in obj:
@@ -237,7 +262,12 @@ _KEYS = {
     "t": _scalar("t_eval", _finite_number, "t must be a finite number", float),
     "tolerances": _parse_tolerances,
     "seed": _scalar("seed", _integer(0), "seed must be an integer >= 0", int),
-    "trials": _scalar("trials", _integer(1), "trials must be a positive integer", int),
+    "trials": _scalar(
+        "trials",
+        lambda x: _integer(1)(x) and x <= quasistationary.MAX_TRIALS,
+        f"trials must be an integer in [1, {quasistationary.MAX_TRIALS}]",
+        int,
+    ),
     "n": _scalar("n", _integer(2), "n must be an integer >= 2", int),
     "sampler": _scalar(
         "sampler",
@@ -321,13 +351,59 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pairs(array) -> list:
-    """A complex scalar or array as (nested lists of) [re, im] pairs."""
-    return np.stack([array.real, array.imag], -1).tolist()
+def _pairs(array) -> np.ndarray:
+    """A complex scalar or array as a float array of [re, im] pairs."""
+    return np.stack([array.real, array.imag], -1)
+
+
+#: JSON's spelling of the floats ``float.__repr__`` writes as nan and inf
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(array: np.ndarray, level: int) -> str:
+    """A float array as ``json.dumps(array.tolist(), indent=2)`` writes it at
+    nesting ``level``: one ``float.__repr__`` map, then joins along each axis
+    from the last."""
+    items = list(map(float.__repr__, array.ravel().tolist()))
+    if not np.isfinite(array).all():
+        items = [_JSON_FLOATS.get(x, x) for x in items]
+    for axis in reversed(range(array.ndim)):
+        size = array.shape[axis]
+        if size == 0:
+            items = ["[]"] * math.prod(array.shape[:axis])
+            continue
+        pad = "\n" + "  " * (level + axis + 1)
+        close = "\n" + "  " * (level + axis) + "]"
+        items = [
+            "[" + pad + ("," + pad).join(items[i : i + size]) + close
+            for i in range(0, len(items), size)
+        ]
+    return items[0]
+
+
+def _json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed dicts,
+    lists and JSON scalars, where float arrays stand for their ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64:
+            return _json_array(obj, level)
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, level + 1) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(obj) + "\n")
     return path
 
 
@@ -337,11 +413,11 @@ def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str
         return _write_json(
             path_base.with_suffix(".json"),
             {
-                "times": traj.times.tolist(),
+                "times": traj.times,
                 "phi": _pairs(traj.phi),
                 "psi": _pairs(traj.psi),
                 "overlap": _pairs(traj.overlap),
-                "drift": drift.tolist(),
+                "drift": drift,
             },
         )
     n = traj.phi.shape[1]
@@ -446,7 +522,7 @@ def _run_qs_check(cfg, out):
     cert = qs_certify(cfg.taylor, tol)
     payload = {
         "status": cert.status,
-        "kappa": None if cert.kappa is None else [float(k) for k in cert.kappa],
+        "kappa": cert.kappa,
         "first_violation_order": cert.first_violation_order,
         "residuals": [float(r) for r in cert.residuals],
         "detail": cert.detail,
@@ -525,7 +601,7 @@ COMMANDS = {
     "qs-check": _Command(_run_qs_check, ("model.taylor",), _two_coefficients),
     # every sampler plants spectra with a minimum gap, which bounds n
     "qs-scan": _Command(
-        _run_qs_scan, ("sampler", "trials", "n"), lambda cfg: quasistationary._planted_top(cfg.n)
+        _run_qs_scan, ("sampler", "trials", "n"), lambda cfg: models._planted_top(cfg.n)
     ),
     "demo": _Command(_run_demo, _PROPAGATION),
 }

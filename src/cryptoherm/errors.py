@@ -5,6 +5,15 @@ command-line front end can map them to distinct exit codes.
 """
 
 
+def checked(outcome):
+    """``outcome``, raised if it is an exception.  The stacked routines return
+    per matrix a result or the error it fails with; the one-matrix calls are
+    stacks of one passed through here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class CryptohermError(Exception):
     """Base class for every error raised by this package."""
 

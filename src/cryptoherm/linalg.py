@@ -3,7 +3,9 @@ biorthogonal eigendecomposition of diagonalizable non-normal matrices.
 
 All functions treat their array arguments as immutable values and return
 fresh arrays.  Tolerances are relative to the Frobenius norm of the input,
-with the absolute floors noted per function.
+with the absolute floors noted per function.  The eigendecomposition also
+takes a stack (..., d, d) of matrices; each entry of a stack gets the same
+result, bit for bit, as the matrix alone.
 """
 
 from __future__ import annotations
@@ -26,13 +28,22 @@ BIORTHO_TOL = 1e-10
 SINGULAR_RTOL = 1e-12
 
 
-def as_square_matrix(matrix) -> np.ndarray:
-    """Validate and return a finite complex square matrix (fresh copy)."""
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+def as_square_stack(matrices) -> np.ndarray:
+    """Validate and return a finite complex square matrix, or a stack
+    (..., d, d) of them (fresh copy)."""
+    m = np.array(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+    return m
+
+
+def as_square_matrix(matrix) -> np.ndarray:
+    """Validate and return a finite complex square matrix (fresh copy)."""
+    m = as_square_stack(matrix)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -44,9 +55,34 @@ def as_state(vector, dim: int) -> np.ndarray:
     return v
 
 
+def stacked_fro(matrices) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., d, d).
+
+    Each matrix is summed as ``np.linalg.norm`` sums it: in memory order
+    (row- or column-major), as one BLAS dot of the real parts plus one of the
+    imaginary parts (one dot for a real matrix), so an entry equals
+    ``np.linalg.norm`` of its matrix bit for bit.
+    """
+    a = np.asarray(matrices)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    if a.strides[-2] < a.strides[-1]:  # column-major matrices
+        a = a.swapaxes(-1, -2)
+    flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    squares = sum(p @ p.swapaxes(-1, -2) for p in parts)
+    return np.sqrt(squares[..., 0, 0])
+
+
 def norm_fro(matrix) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(matrix)))
+    """Frobenius norm of one matrix (2-norm of a vector)."""
+    return float(stacked_fro(np.atleast_2d(matrix)))
+
+
+def adjoint(matrices) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack (the
+    ``.conj().mT`` of numpy 2)."""
+    return np.asarray(matrices).conj().swapaxes(-1, -2)
 
 
 def invert(matrix) -> np.ndarray:
@@ -97,34 +133,94 @@ class BiorthonormalSystem:
     eigenvector (an eigenvector of the adjoint matrix at the conjugate
     eigenvalue), scaled so the mutual overlap matrix is the identity.  The
     residual normalization phase lives entirely in the left vectors.
+
+    The system of a stack of matrices holds stacked arrays (leading axes as
+    in the stack) and an array of condition estimates; its residuals are
+    then arrays with one value per matrix.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    condition_estimate: float
+    condition_estimate: float | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
-    def biorthonormality_residual(self) -> float:
+    def biorthonormality_residual(self):
         """max_{j,k} |⟨Ψ_j|Φ_k⟩ − δ_jk|, recomputed from the stored vectors."""
-        gram = self.left_vectors.conj().T @ self.right_vectors
-        return float(np.abs(gram - np.eye(self.dim)).max())
+        gram = adjoint(self.left_vectors) @ self.right_vectors
+        return _per_matrix(np.abs(gram - np.eye(self.dim)).max(axis=(-2, -1)))
 
-    def completeness_residual(self) -> float:
+    def completeness_residual(self):
         """‖Σ_j |Φ_j⟩⟨Ψ_j| − I‖ in the Frobenius norm."""
-        resolution = self.right_vectors @ self.left_vectors.conj().T
-        return float(np.linalg.norm(resolution - np.eye(self.dim)))
+        resolution = self.right_vectors @ adjoint(self.left_vectors)
+        return _per_matrix(stacked_fro(resolution - np.eye(self.dim)))
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the decomposed matrix as Σ_j |Φ_j⟩ ε_j ⟨Ψ_j|."""
-        return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
+        return (self.right_vectors * self.eigenvalues[..., None, :]) @ adjoint(self.left_vectors)
+
+
+def _per_matrix(values: np.ndarray):
+    """A float for a single matrix, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def decompose_stack(m: np.ndarray, tol: float) -> tuple[BiorthonormalSystem, list]:
+    """``biorthogonal_decompose`` of every matrix of a finite (n, d, d) stack
+    at once, without raising.
+
+    Returns the stacked system and, per matrix, ``None`` or the
+    ``DefectiveMatrix`` that matrix fails with; the arrays of a failed
+    matrix are meaningless.
+    """
+    d = m.shape[-1]
+    eigvals, right = np.linalg.eig(m)
+    right = right / np.linalg.norm(right, axis=-2, keepdims=True)
+    ties = np.broadcast_to(np.arange(d), eigvals.shape)
+    order = np.lexsort((ties, eigvals.imag, eigvals.real), axis=-1)
+    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    right = np.take_along_axis(right, order[:, None, :], axis=-1)
+
+    sv = np.linalg.svd(right, compute_uv=False)
+    singular = (sv[:, 0] == 0.0) | (sv[:, -1] < tol * sv[:, 0])
+    condition = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
+    # a singular eigenvector matrix is replaced by I so that the stack inverts
+    invertible = np.where(singular[:, None, None], np.eye(d), right)
+    left = adjoint(np.linalg.inv(invertible))
+    system = BiorthonormalSystem(eigvals, right, left, condition)
+
+    residual = (system.biorthonormality_residual() > BIORTHO_TOL) | (
+        system.completeness_residual() > BIORTHO_TOL
+    )
+    recon = stacked_fro(system.reconstruct() - m)
+    budget = BIORTHO_TOL * np.maximum(stacked_fro(m), 1.0)
+    failures = []
+    for i in range(m.shape[0]):
+        if singular[i]:
+            failures.append(DefectiveMatrix(
+                f"eigenvector matrix numerically singular (sigma_min/sigma_max = "
+                f"{sv[i, -1] / max(sv[i, 0], np.finfo(float).tiny):.3e})"
+            ))
+        elif residual[i]:
+            failures.append(DefectiveMatrix(
+                "eigenvector basis too ill-conditioned for a biorthonormal system "
+                f"(condition estimate {condition[i]:.3e})"
+            ))
+        elif recon[i] > budget[i]:
+            failures.append(DefectiveMatrix(
+                f"spectral reconstruction residual {recon[i]:.3e} exceeds budget"
+            ))
+        else:
+            failures.append(None)
+    return system, failures
 
 
 def biorthogonal_decompose(matrix, tol: float = BIORTHO_TOL) -> BiorthonormalSystem:
-    """Biorthogonal eigendecomposition of a diagonalizable complex matrix.
+    """Biorthogonal eigendecomposition of a diagonalizable complex matrix,
+    or of each matrix of a stack (..., d, d).
 
     Eigenvalues are sorted by real part, then imaginary part, ascending,
     with ties broken by the original index.  Right eigenvectors are
@@ -132,10 +228,13 @@ def biorthogonal_decompose(matrix, tol: float = BIORTHO_TOL) -> BiorthonormalSys
     right-eigenvector matrix (conjugated), which makes them eigenvectors of
     M† at the conjugate eigenvalues and enforces ⟨Ψ_j|Φ_k⟩ = δ_jk directly.
 
+    A stack is decomposed with one ``eig``, one SVD and one inverse over the
+    whole stack; each entry equals the decomposition of its matrix alone.
+
     Parameters
     ----------
     matrix : array_like
-        Square complex matrix with finite entries.
+        Square complex matrix, or stack of them, with finite entries.
     tol : float
         Relative singular-value floor for the eigenvector matrix.
 
@@ -146,37 +245,18 @@ def biorthogonal_decompose(matrix, tol: float = BIORTHO_TOL) -> BiorthonormalSys
         value below ``tol`` times the largest) or the assembled system fails
         its biorthonormality/completeness/reconstruction budget.  These are
         the exceptional, non-diagonalizable cases that are reported rather
-        than repaired.
+        than repaired.  For a stack, the first failing matrix is named by
+        its index.
     """
-    m = as_square_matrix(matrix)
-    n = m.shape[0]
-    eigvals, right = np.linalg.eig(m)
-    right = right / np.linalg.norm(right, axis=0)
-    order = np.lexsort((np.arange(n), eigvals.imag, eigvals.real))
-    eigvals = eigvals[order]
-    right = np.ascontiguousarray(right[:, order])
-
-    sv = np.linalg.svd(right, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < tol * sv[0]:
-        raise DefectiveMatrix(
-            f"eigenvector matrix numerically singular (sigma_min/sigma_max = "
-            f"{sv[-1] / max(sv[0], np.finfo(float).tiny):.3e})"
-        )
-    condition = float(sv[0] / sv[-1])
-    left = np.linalg.inv(right).conj().T
-    system = BiorthonormalSystem(eigvals, right, left, condition)
-
-    if (
-        system.biorthonormality_residual() > BIORTHO_TOL
-        or system.completeness_residual() > BIORTHO_TOL
-    ):
-        raise DefectiveMatrix(
-            "eigenvector basis too ill-conditioned for a biorthonormal system "
-            f"(condition estimate {condition:.3e})"
-        )
-    recon = norm_fro(system.reconstruct() - m)
-    if recon > BIORTHO_TOL * max(norm_fro(m), 1.0):
-        raise DefectiveMatrix(
-            f"spectral reconstruction residual {recon:.3e} exceeds budget"
-        )
-    return system
+    m = as_square_stack(matrix)
+    batch = m.shape[:-2]
+    system, failures = decompose_stack(m.reshape((-1,) + m.shape[-2:]), tol)
+    for index, failure in zip(np.ndindex(batch), failures):
+        if failure is not None:
+            raise failure if not batch else DefectiveMatrix(f"matrix {index}: {failure}")
+    eigvals, right, left, condition = (
+        a.reshape(batch + a.shape[1:])
+        for a in (system.eigenvalues, system.right_vectors, system.left_vectors,
+                  system.condition_estimate)
+    )
+    return BiorthonormalSystem(eigvals, right, left, _per_matrix(condition))

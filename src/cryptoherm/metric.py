@@ -21,14 +21,17 @@ from .errors import (
     IllConditionedWarning,
     InvalidWeights,
     PositivityFailure,
+    checked,
 )
 from .linalg import (
     BiorthonormalSystem,
+    adjoint,
     as_square_matrix,
     as_state,
     invert,
     norm_fro,
     principal_sqrt,
+    stacked_fro,
 )
 
 #: condition number of the map beyond which residual guarantees degrade
@@ -61,17 +64,33 @@ class MetricOperator:
     def from_matrix(cls, theta) -> "MetricOperator":
         """Validate a metric candidate: Hermitian within 1e-12 relative,
         smallest eigenvalue above 1e-12 times the largest."""
-        t = as_square_matrix(theta)
-        if norm_fro(t - t.conj().T) > 1e-12 * norm_fro(t):
-            raise PositivityFailure("metric candidate is not Hermitian")
-        t = 0.5 * (t + t.conj().T)
-        w = np.linalg.eigvalsh(t)
-        if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
-            raise PositivityFailure(
+        return checked(metric_operators(as_square_matrix(theta)[None])[0])
+
+
+def metric_operators(theta) -> list:
+    """``MetricOperator.from_matrix`` on each matrix of a stack (n, d, d) at
+    once, without raising: per matrix its ``MetricOperator`` or the error it
+    fails with."""
+    t = np.asarray(theta)
+    finite = np.isfinite(t).all(axis=(-2, -1))
+    t = np.where(finite[:, None, None], t, 0.0)
+    skew = stacked_fro(t - adjoint(t)) > 1e-12 * stacked_fro(t)
+    t = 0.5 * (t + adjoint(t))
+    eigs = np.linalg.eigvalsh(t)
+    outcomes = []
+    for i, w in enumerate(eigs):
+        if not finite[i]:
+            outcomes.append(ValueError("matrix entries must be finite"))
+        elif skew[i]:
+            outcomes.append(PositivityFailure("metric candidate is not Hermitian"))
+        elif w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+            outcomes.append(PositivityFailure(
                 f"metric candidate eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}] "
                 "are not positive definite"
-            )
-        return cls(t, float(w[0]), float(w[-1]))
+            ))
+        else:
+            outcomes.append(MetricOperator(t[i], float(w[0]), float(w[-1])))
+    return outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +262,29 @@ def metric_from_spectral(system: BiorthonormalSystem, kappa) -> MetricOperator:
         raise InvalidWeights(
             f"expected {system.dim} weights, got shape {k.shape}"
         )
+    return checked(spectral_metrics(system.left_vectors[None], k[None])[0])
+
+
+def spectral_metrics(left_vectors, kappa) -> list:
+    """``metric_from_spectral`` on each row of a stack of left eigenvectors
+    (n, d, d) and of weights (n, d) at once, without raising: per row its
+    ``MetricOperator`` or the error it fails with."""
+    k = np.asarray(kappa)
+    complex_rows = np.zeros(k.shape[0], dtype=bool)
     if np.iscomplexobj(k):
-        if np.abs(k.imag).max() > 0.0:
-            raise InvalidWeights("weights must be real")
+        complex_rows = np.abs(k.imag).max(axis=-1) > 0.0
         k = k.real
     k = k.astype(float)
-    if not np.isfinite(k).all() or (k <= 0.0).any():
-        raise InvalidWeights("weights must be finite and strictly positive")
-    left = system.left_vectors
-    theta = (left * k) @ left.conj().T
-    return MetricOperator.from_matrix(0.5 * (theta + theta.conj().T))
+    invalid = ~(np.isfinite(k) & (k > 0.0)).all(axis=-1)
+    k = np.where((complex_rows | invalid)[:, None], 1.0, k)
+    theta = (left_vectors * k[:, None, :]) @ adjoint(left_vectors)
+    metrics = metric_operators(0.5 * (theta + adjoint(theta)))
+    return [
+        InvalidWeights("weights must be real") if imag
+        else InvalidWeights("weights must be finite and strictly positive") if bad
+        else metric
+        for imag, bad, metric in zip(complex_rows, invalid, metrics)
+    ]
 
 
 def metric_from_dyson(family: DysonFamily, t: float) -> MetricOperator:

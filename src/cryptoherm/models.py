@@ -1,8 +1,9 @@
 """Reference model builders.
 
 Discretized 1-d Schrödinger operators, a parametric 2x2 family, seeded
-similarity samplers with planted real spectra, and ready-made scenarios for
-the propagators.  Everything is deterministic given its seed.
+similarity samplers with planted real spectra (the Taylor families that
+``quasistationary.qs_scan`` certifies among them), and ready-made scenarios
+for the propagators.  Everything is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -88,6 +89,66 @@ def _random_similarity(rng, dim: int, cond_cap: float, attempts: int = 100) -> n
     raise ResampleExhausted(
         f"no similarity transform with condition <= {cond_cap} in {attempts} draws"
     )
+
+
+#: planted eigenvalues lie in [−2, 2], at least this far apart
+PLANTED_GAP = 0.1
+
+
+def _planted_top(dim: int, min_gap: float = PLANTED_GAP) -> float:
+    """Upper end of [−2, 2] shortened by (dim − 1)·gap; ``ValueError`` unless
+    some room is left, that is unless (dim − 1)·gap < 4."""
+    top = 2.0 - (dim - 1) * min_gap
+    if not top > -2.0:
+        raise ValueError(f"cannot plant {dim} eigenvalues {min_gap} apart in [-2, 2]")
+    return top
+
+
+def _planted_spectrum(rng, dim: int, min_gap: float = PLANTED_GAP) -> np.ndarray:
+    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``min_gap``.
+
+    Sorted uniforms on the interval shortened by (dim − 1)·gap, plus k·gap for
+    the k-th, have the law of uniform draws conditioned on the gaps, and take
+    one draw.
+    """
+    top = _planted_top(dim, min_gap)
+    return np.sort(rng.uniform(-2.0, top, dim)) + min_gap * np.arange(dim)
+
+
+def sample_shared(rng, dim: int) -> TaylorHamiltonian:
+    """Degree-1 family with both coefficients similar through one random S;
+    a stationary metric exists by construction."""
+    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
+    s = _random_similarity(rng, dim, cond_cap=100.0)
+    s_inv = np.linalg.inv(s)
+    return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
+
+
+def sample_independent(rng, dim: int) -> TaylorHamiltonian:
+    """Degree-1 family with independently drawn similarity transforms;
+    generically no stationary metric exists."""
+    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
+    s0 = _random_similarity(rng, dim, cond_cap=100.0)
+    s1 = _random_similarity(rng, dim, cond_cap=100.0)
+    h0 = (s0 * e0) @ np.linalg.inv(s0)
+    h1 = (s1 * e1) @ np.linalg.inv(s1)
+    return TaylorHamiltonian((h0, h1))
+
+
+def sample_shared_degree2(rng, dim: int) -> TaylorHamiltonian:
+    """Shared-similarity degree-1 family extended by a random quadratic
+    coefficient; generically violates at order 2."""
+    base = sample_shared(rng, dim)
+    h2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return TaylorHamiltonian(base.coefficients + (h2,))
+
+
+#: the built-in samplers, by the name ``qs_scan`` and the CLI take
+SAMPLERS = {
+    "shared": sample_shared,
+    "independent": sample_independent,
+    "shared-degree2": sample_shared_degree2,
+}
 
 
 def random_cryptohermitian(

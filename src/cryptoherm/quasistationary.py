@@ -25,17 +25,38 @@ from .errors import (
     DimensionMismatch,
     ExpectsRealSpectrum,
     SingularMatrix,
+    checked,
 )
 from .evolution import TaylorHamiltonian
-from .linalg import SINGULAR_RTOL, as_square_matrix, biorthogonal_decompose, norm_fro
-from .metric import MetricOperator, metric_from_spectral
-from .models import _random_similarity
+from .linalg import (
+    BIORTHO_TOL,
+    SINGULAR_RTOL,
+    adjoint,
+    as_square_matrix,
+    decompose_stack,
+    stacked_fro,
+)
+from .metric import MetricOperator, spectral_metrics
+
+# the samplers live in models; qs_scan looks names up in this very dict, and
+# they stay importable from here
+from .models import SAMPLERS, sample_independent, sample_shared, sample_shared_degree2
 
 #: default relative tolerance for all certification decisions
 DEFAULT_TOL_QS = 1e-8
 
 #: relative bound on |Im ε| below which a spectrum counts as real
 REAL_SPECTRUM_RTOL = 1e-8
+
+#: most trials one qs_scan may run; a trial takes about 0.5 ms at dim 8 and
+#: 6 ms at dim 40 (2-vCPU VM), so a scan ends within about ten minutes
+MAX_TRIALS = 10**5
+
+#: coefficient bytes qs_scan samples before it certifies them as one stack,
+#: so memory does not grow with the number of trials: the stack peaks at
+#: about ten times its coefficients (2.5 MiB at dims 8 and 40), and larger
+#: stacks no longer run faster per trial
+SCAN_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,23 +103,32 @@ class ScanStats:
         return out
 
 
-def stationarity_residual(coefficient, theta_matrix) -> float:
-    """‖H†Θ − ΘH‖ / (‖H‖·‖Θ‖), with 0 for a zero coefficient."""
+def stationarity_residual(coefficient, theta_matrix):
+    """‖H†Θ − ΘH‖ / (‖H‖·‖Θ‖), with 0 for a zero coefficient.
+
+    Stacks (..., d, d) of coefficients and of metrics broadcast against each
+    other and give an array of residuals; two matrices give a float.
+    """
     h = np.asarray(coefficient, dtype=complex)
-    den = norm_fro(h) * norm_fro(theta_matrix)
-    if den == 0.0:
-        return 0.0
-    num = norm_fro(h.conj().T @ theta_matrix - theta_matrix @ h)
-    return float(num / den)
+    den = stacked_fro(h) * stacked_fro(theta_matrix)
+    num = stacked_fro(adjoint(h) @ theta_matrix - theta_matrix @ h)
+    residual = np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
+    return float(residual) if residual.ndim == 0 else residual
 
 
-def _require_real_spectrum(eigenvalues, label: str):
-    scale = max(1.0, float(np.abs(eigenvalues).max()))
-    worst = float(np.abs(eigenvalues.imag).max())
-    if worst > REAL_SPECTRUM_RTOL * scale:
-        raise ExpectsRealSpectrum(
-            f"{label} has |Im eigenvalue| up to {worst:.3e}; a real spectrum is required"
+def _complex_spectra(eigenvalues, label: str) -> list:
+    """Per spectrum of a stack (n, d), ``None`` or the ``ExpectsRealSpectrum``
+    it fails with."""
+    scale = np.maximum(1.0, np.abs(eigenvalues).max(axis=-1))
+    worst = np.abs(eigenvalues.imag).max(axis=-1)
+    return [
+        ExpectsRealSpectrum(
+            f"{label} has |Im eigenvalue| up to {w:.3e}; a real spectrum is required"
         )
+        if w > REAL_SPECTRUM_RTOL * sc
+        else None
+        for w, sc in zip(worst, scale)
+    ]
 
 
 def _solve_weights(m: np.ndarray, threshold: float):
@@ -139,6 +169,122 @@ def _solve_weights(m: np.ndarray, threshold: float):
     return kappa, None
 
 
+def _certificate(status, detail="", kappa=None, metric=None, order=None, residuals=()):
+    return QSCertificate(status, kappa, metric, order, tuple(residuals), detail)
+
+
+def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
+    """``qs_certify`` on every family of a stack (n, degree + 1, d, d),
+    degree ≥ 1: per family its certificate or the error it raises.
+
+    Decompositions, overlaps, M = A·F·A⁻¹ and the residuals of every order
+    are computed for the whole stack at once.  The weights take one
+    vectorized step where every off-diagonal pair of M is significant
+    (κ_k = M₀ₖ / M*ₖ₀) or none is (κ = 1); other patterns go through
+    ``_solve_weights``.  Rows that fail a gate get garbage in the later
+    stacked steps, which is never read.
+    """
+    n, d = coefficients.shape[0], coefficients.shape[-1]
+    sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
+    sys1, failed1 = decompose_stack(coefficients[:, 1], BIORTHO_TOL)
+    a = adjoint(sys0.left_vectors) @ sys1.right_vectors
+    sv = np.linalg.svd(a, compute_uv=False)
+    singular = (sv[:, 0] == 0.0) | (sv[:, -1] < SINGULAR_RTOL * sv[:, 0])
+    outcomes = [
+        f0 or f1 or c0 or c1
+        or (SingularMatrix("overlap matrix between the eigenbases is singular") if sing else None)
+        for f0, f1, c0, c1, sing in zip(
+            failed0,
+            failed1,
+            _complex_spectra(sys0.eigenvalues, "order-0 coefficient"),
+            _complex_spectra(sys1.eigenvalues, "order-1 coefficient"),
+            singular,
+        )
+    ]
+    failed = np.array([o is not None for o in outcomes])
+    a_inv = np.linalg.inv(np.where(failed[:, None, None], np.eye(d), a))
+    m = (a * sys1.eigenvalues.real[:, None, :]) @ a_inv
+
+    scale = stacked_fro(m)
+    threshold = tol_qs * scale
+    significant = np.abs(m) >= threshold[:, None, None]
+    pairs = (significant & ~np.eye(d, dtype=bool)).sum(axis=(1, 2))
+    kappa_c = np.ones((n, d), dtype=complex)
+    generic = np.flatnonzero(~failed & (pairs == d * (d - 1)))
+    kappa_c[generic, 1:] = kappa_c[generic, :1] * m[generic, 0, 1:] / m[generic, 1:, 0].conj()
+    for i in np.flatnonzero(~failed & (pairs > 0) & (pairs < d * (d - 1))):
+        kappa_i, detail = _solve_weights(m[i], threshold[i])
+        if kappa_i is None:
+            outcomes[i] = _certificate("exceptional", detail)
+        else:
+            kappa_c[i] = kappa_i
+
+    worst_imag = np.abs(kappa_c.imag).max(axis=1)
+    min_real = kappa_c.real.min(axis=1)
+    for i in range(n):
+        if outcomes[i] is None and (worst_imag[i] > tol_qs or min_real[i] <= tol_qs):
+            outcomes[i] = _certificate(
+                "incompatible",
+                "weight extraction produced non-real or non-positive values "
+                f"(max |Im| = {worst_imag[i]:.3e}, min Re = {min_real[i]:.3e})",
+            )
+    # Θ of the whole stack, so that each matrix keeps the memory layout of a
+    # one-family call; decided rows, whose weights may be garbage, take κ = 1
+    # and are not read
+    weighted = np.array([o is None for o in outcomes])
+    kappa = np.where(weighted[:, None], kappa_c.real, 1.0)
+    for i, metric in enumerate(spectral_metrics(sys0.left_vectors, kappa)):
+        if weighted[i]:
+            outcomes[i] = metric
+    rows = np.flatnonzero([isinstance(o, MetricOperator) for o in outcomes])
+    if not rows.size:
+        return outcomes
+    theta = np.array([outcomes[i].matrix for i in rows])
+    residuals = stationarity_residual(coefficients[rows], theta[:, None])
+    kappa, m = kappa[rows], m[rows]
+    congruence = np.abs(kappa[:, :, None] * m - adjoint(m) * kappa[:, None, :]).max(axis=(1, 2))
+    for j, i in enumerate(rows):
+        r = [float(x) for x in residuals[j]]
+        fields = dict(kappa=kappa[j], metric=outcomes[i])
+        if congruence[j] > tol_qs * scale[i] * kappa[j].max() or max(r[:2]) > tol_qs:
+            outcomes[i] = _certificate(
+                "incompatible",
+                "the linear coefficient is not quasi-Hermitian for any positive "
+                f"weight choice (congruence residual {congruence[j]:.3e})",
+                order=1, residuals=r[:2], **fields,
+            )
+            continue
+        order = next((o for o in range(2, len(r)) if r[o] > tol_qs), None)
+        if order is None:
+            outcomes[i] = _certificate("compatible", residuals=r, **fields)
+        else:
+            outcomes[i] = _certificate(
+                "incompatible",
+                f"coefficient of order {order} breaks the stationary metric",
+                order=order, residuals=r, **fields,
+            )
+    return outcomes
+
+
+def _certify_families(families, tol_qs: float) -> list:
+    """``qs_certify`` on each family: its certificate or the error it raises,
+    in order.  Families of one degree and dimension form one stack."""
+    outcomes: list = [None] * len(families)
+    groups: dict = {}
+    for i, family in enumerate(families):
+        groups.setdefault((family.degree, family.dim), []).append(i)
+    for (degree, _), members in groups.items():
+        if degree < 1:
+            error = ValueError("certification needs at least a linear coefficient")
+            stacked = [error] * len(members)
+        else:
+            coefficients = np.array([families[i].coefficients for i in members])
+            stacked = _certify_stack(coefficients, tol_qs)
+        for i, outcome in zip(members, stacked):
+            outcomes[i] = outcome
+    return outcomes
+
+
 def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     """Decide the orders 0-1 problem: one positive metric for both H₀ and H₁.
 
@@ -153,72 +299,7 @@ def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
         raise DimensionMismatch(
             f"coefficient shapes {h0.shape} and {h1.shape} do not match"
         )
-    sys0 = biorthogonal_decompose(h0)
-    sys1 = biorthogonal_decompose(h1)
-    _require_real_spectrum(sys0.eigenvalues, "order-0 coefficient")
-    _require_real_spectrum(sys1.eigenvalues, "order-1 coefficient")
-
-    a = sys0.left_vectors.conj().T @ sys1.right_vectors
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
-        raise SingularMatrix("overlap matrix between the eigenbases is singular")
-    f = sys1.eigenvalues.real
-    m = (a * f) @ np.linalg.inv(a)
-
-    scale = norm_fro(m)
-    kappa_c, exceptional_detail = _solve_weights(m, tol_qs * scale)
-    if kappa_c is None:
-        return QSCertificate(
-            status="exceptional",
-            kappa=None,
-            metric=None,
-            first_violation_order=None,
-            residuals=(),
-            detail=exceptional_detail,
-        )
-
-    worst_imag = float(np.abs(kappa_c.imag).max())
-    min_real = float(kappa_c.real.min())
-    if worst_imag > tol_qs or min_real <= tol_qs:
-        return QSCertificate(
-            status="incompatible",
-            kappa=None,
-            metric=None,
-            first_violation_order=None,
-            residuals=(),
-            detail=(
-                "weight extraction produced non-real or non-positive values "
-                f"(max |Im| = {worst_imag:.3e}, min Re = {min_real:.3e})"
-            ),
-        )
-
-    kappa = kappa_c.real.copy()
-    theta = metric_from_spectral(sys0, kappa)
-    r0 = stationarity_residual(h0, theta.matrix)
-    r1 = stationarity_residual(h1, theta.matrix)
-    congruence = float(
-        np.abs(kappa[:, None] * m - m.conj().T * kappa[None, :]).max()
-    )
-    if congruence > tol_qs * scale * kappa.max() or max(r0, r1) > tol_qs:
-        return QSCertificate(
-            status="incompatible",
-            kappa=kappa,
-            metric=theta,
-            first_violation_order=1,
-            residuals=(r0, r1),
-            detail=(
-                "the linear coefficient is not quasi-Hermitian for any positive "
-                f"weight choice (congruence residual {congruence:.3e})"
-            ),
-        )
-    return QSCertificate(
-        status="compatible",
-        kappa=kappa,
-        metric=theta,
-        first_violation_order=None,
-        residuals=(r0, r1),
-        detail="",
-    )
+    return checked(_certify_stack(np.stack([h0, h1])[None], tol_qs)[0])
 
 
 def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
@@ -228,96 +309,9 @@ def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -
     residual against the found metric; the smallest violating order is
     reported.  A compatible certificate on a degree-1 family is the generic
     best case: higher-degree families generically violate at order 2.
+    Raises as ``qs_solve`` does, and ``ValueError`` for a degree-0 family.
     """
-    if hamiltonian.degree < 1:
-        raise ValueError("certification needs at least a linear coefficient")
-    cert = qs_solve(hamiltonian.coefficients[0], hamiltonian.coefficients[1], tol_qs)
-    if cert.status != "compatible" or hamiltonian.degree == 1:
-        return cert
-
-    residuals = list(cert.residuals)
-    first_violation = None
-    for order in range(2, hamiltonian.degree + 1):
-        r = stationarity_residual(hamiltonian.coefficients[order], cert.metric.matrix)
-        residuals.append(r)
-        if first_violation is None and r > tol_qs:
-            first_violation = order
-    if first_violation is not None:
-        return QSCertificate(
-            status="incompatible",
-            kappa=cert.kappa,
-            metric=cert.metric,
-            first_violation_order=first_violation,
-            residuals=tuple(residuals),
-            detail=f"coefficient of order {first_violation} breaks the stationary metric",
-        )
-    return QSCertificate(
-        status="compatible",
-        kappa=cert.kappa,
-        metric=cert.metric,
-        first_violation_order=None,
-        residuals=tuple(residuals),
-        detail="",
-    )
-
-
-#: planted eigenvalues lie in [−2, 2], at least this far apart
-PLANTED_GAP = 0.1
-
-
-def _planted_top(dim: int, min_gap: float = PLANTED_GAP) -> float:
-    """Upper end of [−2, 2] shortened by (dim − 1)·gap; ``ValueError`` unless
-    some room is left, that is unless (dim − 1)·gap < 4."""
-    top = 2.0 - (dim - 1) * min_gap
-    if not top > -2.0:
-        raise ValueError(f"cannot plant {dim} eigenvalues {min_gap} apart in [-2, 2]")
-    return top
-
-
-def _planted_spectrum(rng, dim: int, min_gap: float = PLANTED_GAP) -> np.ndarray:
-    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``min_gap``.
-
-    Sorted uniforms on the interval shortened by (dim − 1)·gap, plus k·gap for
-    the k-th, have the law of uniform draws conditioned on the gaps, and take
-    one draw.
-    """
-    top = _planted_top(dim, min_gap)
-    return np.sort(rng.uniform(-2.0, top, dim)) + min_gap * np.arange(dim)
-
-
-def sample_shared(rng, dim: int) -> TaylorHamiltonian:
-    """Degree-1 family with both coefficients similar through one random S;
-    a stationary metric exists by construction."""
-    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s = _random_similarity(rng, dim, cond_cap=100.0)
-    s_inv = np.linalg.inv(s)
-    return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
-
-
-def sample_independent(rng, dim: int) -> TaylorHamiltonian:
-    """Degree-1 family with independently drawn similarity transforms;
-    generically no stationary metric exists."""
-    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s0 = _random_similarity(rng, dim, cond_cap=100.0)
-    s1 = _random_similarity(rng, dim, cond_cap=100.0)
-    h0 = (s0 * e0) @ np.linalg.inv(s0)
-    h1 = (s1 * e1) @ np.linalg.inv(s1)
-    return TaylorHamiltonian((h0, h1))
-
-
-def sample_shared_degree2(rng, dim: int) -> TaylorHamiltonian:
-    """Shared-similarity degree-1 family extended by a random quadratic
-    coefficient; generically violates at order 2."""
-    base = sample_shared(rng, dim)
-    h2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return TaylorHamiltonian(base.coefficients + (h2,))
-
-
-SAMPLERS = {
-    "shared": sample_shared,
-    "independent": sample_independent,
-    "shared-degree2": sample_shared_degree2,
-}
+    return checked(_certify_families([hamiltonian], tol_qs)[0])
 
 
 def qs_scan(
@@ -332,40 +326,46 @@ def qs_scan(
     ``sampler`` is a callable ``(rng, dim) -> TaylorHamiltonian`` (or a key
     of :data:`SAMPLERS`).  Trial i uses ``default_rng(seed + i)``, so trials
     are independent and the whole scan is deterministic given the seed.
-    Decomposition failures and singular overlaps count as exceptional.
-    The built-in samplers plant spectra 0.1 apart in [−2, 2] and raise
-    ``ValueError`` for ``dim`` > 40, where no such spectrum exists.
+    Decomposition failures and singular overlaps count as exceptional; any
+    other error ``qs_certify`` raises for a trial is raised.  Trials are
+    sampled until their coefficients fill ``SCAN_BYTES`` and then certified
+    as one stack, with the counts and errors of certifying them one by one
+    (a sampler error surfaces after the errors of the trials drawn before
+    it); ``trials`` above ``MAX_TRIALS``
+    raise ``ValueError`` before any sampling.  The built-in samplers plant
+    spectra 0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40,
+    where no such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
     if isinstance(sampler, str):
         sampler = SAMPLERS[sampler]
-    compatible = incompatible = exceptional = 0
+    counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
     violation_orders: dict[int, int] = {}
-    for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        family = sampler(rng, dim)
-        try:
-            cert = qs_certify(family, tol_qs)
-        except (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum):
-            exceptional += 1
-            continue
-        if cert.status == "compatible":
-            compatible += 1
-        elif cert.status == "incompatible":
-            incompatible += 1
+
+    def count(families):
+        for outcome in _certify_families(families, tol_qs):
+            if isinstance(outcome, (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum)):
+                counts["exceptional"] += 1
+                continue
+            cert = checked(outcome)
+            counts[cert.status] += 1
             if cert.first_violation_order is not None:
                 violation_orders[cert.first_violation_order] = (
                     violation_orders.get(cert.first_violation_order, 0) + 1
                 )
-        else:
-            exceptional += 1
-    return ScanStats(
-        trials=trials,
-        dim=dim,
-        seed=seed,
-        compatible=compatible,
-        incompatible=incompatible,
-        exceptional=exceptional,
-        violation_orders=violation_orders,
-    )
+
+    families, size = [], 0
+    try:
+        for i in range(trials):
+            family = sampler(np.random.default_rng(seed + i), dim)
+            families.append(family)
+            size += 16 * (family.degree + 1) * family.dim**2
+            if size >= SCAN_BYTES:
+                chunk, families, size = families, [], 0
+                count(chunk)
+    finally:
+        count(families)
+    return ScanStats(trials=trials, dim=dim, seed=seed, violation_orders=violation_orders, **counts)

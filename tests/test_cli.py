@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cryptoherm import biorthogonal_decompose, cli
+from cryptoherm import biorthogonal_decompose, cli, quasistationary
 from cryptoherm.cli import COMMANDS, main, parse_config, run
 from cryptoherm.errors import ValidationError
 
@@ -401,13 +402,49 @@ def test_tables_are_covered():
     assert {name for name, _ in REQUIREMENTS} == set(COMMANDS) - {"demo"}
 
 
-@pytest.mark.parametrize("key", sorted(INVALID))
-def test_every_key_rejects_an_invalid_value(tmp_path, key):
-    cfg = dict(EVOLVE_CFG, **{key: INVALID[key]})
+#: further invalid values of keys that can be wrong in more than one way
+MORE_INVALID = [
+    ("output", {"path": None}),
+    ("output", {"path": 3}),
+    ("output", {"path": ["out"]}),
+    ("output", {"path": ""}),
+    ("trials", quasistationary.MAX_TRIALS + 1),
+]
+
+
+def _assert_rejected(tmp_path, monkeypatch, key, value):
+    """Parsing names ``key``, and the CLI exits 2 writing nothing, not even
+    relative to the working directory."""
+    cfg = dict(EVOLVE_CFG, **{key: value})
     with pytest.raises(ValidationError, match=rf"(^|; ){re.escape(key)}\b"):
         parse_config(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
     assert _exit_code(tmp_path, cfg) == 2
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key", sorted(INVALID))
+def test_every_key_rejects_an_invalid_value(tmp_path, monkeypatch, key):
+    _assert_rejected(tmp_path, monkeypatch, key, INVALID[key])
+
+
+@pytest.mark.parametrize("key, value", MORE_INVALID)
+def test_more_invalid_values_are_rejected(tmp_path, monkeypatch, key, value):
+    _assert_rejected(tmp_path, monkeypatch, key, value)
+
+
+def test_trials_cap_rejects_before_sampling(tmp_path):
+    cfg = dict(SCAN, trials=10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="trials"):
+            parse_config(json.dumps(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _exit_code(tmp_path, cfg) == 2
+    assert parse_config(json.dumps(dict(SCAN, trials=quasistationary.MAX_TRIALS))).trials == 10**5
 
 
 @pytest.mark.parametrize("name, key", REQUIREMENTS)
@@ -428,3 +465,107 @@ def test_readme_lists_exactly_the_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
     assert re.findall(r"^\| `([a-z-]+)` \|", section, re.M) == list(COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# whole-array JSON writing and matrix parsing
+# ---------------------------------------------------------------------------
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+SPECIAL_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324, 0.1, 2.0])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "flat": SPECIAL_FLOATS,
+            "pairs": SPECIAL_FLOATS[:8].reshape(2, 2, 2),
+            "empty": np.zeros(0),
+            "empty_rows": np.zeros((2, 0)),
+            "no_rows": np.zeros((0, 3)),
+            "scalar": np.array(-0.0),
+            "nan_scalar": np.array(np.nan),
+            "none": None,
+            "nested": {"b": {"list": [1, 2.5, "text", True, None], "empty": {}}, "a": []},
+            "integers": np.arange(3),
+        },
+        SPECIAL_FLOATS.reshape(3, 3),
+        [SPECIAL_FLOATS, (1, [])],
+        {},
+        np.zeros((1, 1, 0)),
+        "é",
+    ],
+)
+def test_json_writer_matches_json_dumps(tmp_path, payload):
+    path = cli._write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+#: (matrix, the messages parsing it gives), each as the entry-by-entry parser gave them
+MATRIX_MESSAGES = [
+    ([[1, [True, 0]], [0, 1]], ["m[0][1] must be a finite number or a [re, im] pair"]),
+    ([[1, "2"], [0, 1]], ["m[0][1] must be a finite number or a [re, im] pair"]),
+    ([[1, 0], [float("inf"), 1]], ["m[1][0] must be a finite number or a [re, im] pair"]),
+    ([[1, [0, 10**400]], [0, 1]], ["m[0][1] must be a finite number or a [re, im] pair"]),
+    ([[1, [1, 2, 3]], [0, 1]], ["m[0][1] must be a finite number or a [re, im] pair"]),
+    (
+        [[1, "x", 0], [True, [0, 1], 2], [3]],
+        [
+            "m[0][1] must be a finite number or a [re, im] pair",
+            "m[1][0] must be a finite number or a [re, im] pair",
+            "m row 2 must have 3 entries (square matrix)",
+        ],
+    ),
+    ([[1, 2, 3], [0, 1]], ["m row 0 must have 2 entries (square matrix)"]),
+]
+
+
+@pytest.mark.parametrize("matrix, messages", MATRIX_MESSAGES)
+def test_matrix_parser_names_each_offending_entry(matrix, messages):
+    errors = []
+    cli._matrix(matrix, errors, "m")
+    assert errors == messages
+
+
+@pytest.mark.parametrize(
+    "entries, messages",
+    [
+        ([1, [True, 0]], ["v[1] must be a finite number or a [re, im] pair"]),
+        (
+            ["a", 1e999, [0, 10**400], [1, 2, 3], None],
+            [f"v[{k}] must be a finite number or a [re, im] pair" for k in range(5)],
+        ),
+    ],
+)
+def test_vector_parser_names_each_offending_entry(entries, messages):
+    errors = []
+    cli._vector("v")(entries, errors)
+    assert errors == messages
+
+
+def test_whole_array_parse_equals_entry_by_entry():
+    matrix = [[1, [0.5, -0.25], 10**30], [-0.0, [2, 1e-300], [0, -0.0]], [3.5, [1e308, 5e-324], 7]]
+    errors = []
+    parsed = cli._matrix(matrix, errors, "m")
+    expected = np.array([[cli._complex_entry(x, errors, "m") for x in row] for row in matrix])
+    assert errors == []
+    assert parsed.dtype == complex and parsed.shape == (3, 3)
+    assert parsed.tobytes() == expected.tobytes()
+    top = sys.float_info.max
+    vector = cli._vector("v")([top, [0, -top]], errors)["v"]
+    assert vector.tobytes() == np.array([top, complex(0, -top)]).tobytes()
+    assert errors == []
+    errors = []
+    cli._vector("v")([2**1024 - 2**970 - 1], errors)  # an integer that rounds to the float maximum
+    assert errors == ["v[0] must be a finite number or a [re, im] pair"]

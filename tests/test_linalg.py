@@ -16,7 +16,8 @@ from cryptoherm import (
     norm_fro,
     principal_sqrt,
 )
-from cryptoherm.models import random_cryptohermitian
+from cryptoherm.linalg import BIORTHO_TOL, decompose_stack, stacked_fro
+from cryptoherm.models import model_2x2, random_cryptohermitian
 
 
 def test_decompose_hermitian_diagonal():
@@ -141,3 +142,108 @@ def test_sqrt_squares_back_property(seed):
     p = b.conj().T @ b + 0.1 * np.eye(3)
     s = principal_sqrt(p)
     assert norm_fro(s @ s - p) <= 1e-10 * norm_fro(p)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one eig, SVD and inverse for all entries, each as if alone
+# ---------------------------------------------------------------------------
+
+def _hard_2x2(kind, a, b, c):
+    """A well-conditioned matrix, model_2x2 near or at its exceptional point
+    (s → r·|sin φ|), or a (perturbed) Jordan block."""
+    if kind == "random":
+        return random_cryptohermitian(2, [a, a + 0.5 + abs(b)], seed=int(1e6 * abs(c)))
+    if kind == "near-ep":
+        r, phi = 1.0 + abs(a), 0.3 + abs(b)
+        return model_2x2(r, r * abs(np.sin(phi)) * (1.0 + c**2), phi)
+    return np.array([[a, 1.0], [c**8, a]], dtype=complex)
+
+
+_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["random", "near-ep", "jordan"]),
+        st.floats(-2.0, 2.0),
+        st.floats(-1.0, 1.0),
+        st.floats(-0.1, 0.1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.array([[-2.0, 1.0], [0.0, -2.0]], dtype=complex), "eigenvector matrix numerically singular"),
+        (_hard_2x2("near-ep", 2.0, 0.5, 0.0), "eigenvector basis too ill-conditioned"),
+        (_hard_2x2("near-ep", 2.0, 0.5, 1e-6), "spectral reconstruction residual"),
+    ],
+)
+def test_each_gate_rejects_its_matrix(matrix, message):
+    # a Jordan block, then model_2x2 at and just past its exceptional point
+    with pytest.raises(DefectiveMatrix, match=f"^{message}"):
+        biorthogonal_decompose(matrix)
+    assert str(decompose_stack(matrix[None], BIORTHO_TOL)[1][0]).startswith(message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=_entries, padded=st.booleans())
+def test_stack_rows_equal_single_decompositions(entries, padded):
+    mats = [_hard_2x2(*e) for e in entries]
+    if padded:  # dim 4: each hard block beside a well-conditioned one
+        well = np.array([[3.0, 1.0], [0.5, 5.0]], dtype=complex)
+        mats = [np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), well]]) for m in mats]
+    stack, failures = decompose_stack(np.array(mats), BIORTHO_TOL)
+    for i, (m, failure) in enumerate(zip(mats, failures)):
+        if failure is not None:
+            with pytest.raises(DefectiveMatrix) as excinfo:
+                biorthogonal_decompose(m)
+            assert str(excinfo.value) == str(failure)
+            continue
+        single = biorthogonal_decompose(m)
+        assert np.array_equal(stack.eigenvalues[i], single.eigenvalues)
+        assert np.array_equal(stack.right_vectors[i], single.right_vectors)
+        assert np.array_equal(stack.left_vectors[i], single.left_vectors)
+        assert stack.condition_estimate[i] == single.condition_estimate
+
+
+def test_stacked_call_keeps_the_batch_shape_and_names_the_failing_matrix():
+    mats = np.array([random_cryptohermitian(3, [0.0, 1.0, 2.5], seed) for seed in range(6)])
+    system = biorthogonal_decompose(mats.reshape(2, 3, 3, 3))
+    assert system.eigenvalues.shape == (2, 3, 3)
+    assert system.condition_estimate.shape == (2, 3)
+    assert system.biorthonormality_residual().shape == (2, 3)
+    single = biorthogonal_decompose(mats[4])
+    assert np.array_equal(system.left_vectors[1, 1], single.left_vectors)
+    assert system.completeness_residual()[1, 1] == single.completeness_residual()
+    assert np.array_equal(system.reconstruct()[1, 1], single.reconstruct())
+
+    assert biorthogonal_decompose(np.zeros((0, 3, 3))).eigenvalues.shape == (0, 3)
+
+    jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
+    mats[4] = jordan
+    with pytest.raises(DefectiveMatrix, match=r"^matrix \(1, 1\): eigenvector matrix"):
+        biorthogonal_decompose(mats.reshape(2, 3, 3, 3))
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "adjoint", "real", "real-transposed"])
+def test_stacked_fro_sums_as_numpy_norm(layout):
+    # every stacked gate and residual rests on this: each entry must equal
+    # np.linalg.norm of its matrix bit for bit, whatever the memory layout
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5, 8, 17, 40):
+        c = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        c *= 10.0 ** rng.uniform(-6.0, 6.0, (6, 1, 1))
+        stack = {
+            "C": c,
+            "transposed": c.swapaxes(-1, -2),
+            "adjoint": c.conj().swapaxes(-1, -2),
+            "real": c.real.copy(),
+            "real-transposed": c.real.swapaxes(-1, -2),
+        }[layout]
+        norms = stacked_fro(stack)
+        for matrix, value in zip(stack, norms):
+            assert value == np.linalg.norm(matrix)
+            assert norm_fro(matrix) == np.linalg.norm(matrix)
+            assert norm_fro(matrix[0]) == np.linalg.norm(matrix[0])  # a vector
+        assert np.array_equal(stacked_fro(stack.reshape(2, 3, d, d)), norms.reshape(2, 3))

@@ -30,11 +30,50 @@ from cryptoherm import (
     physical_inner,
     projector_pair,
 )
+from cryptoherm.errors import NumericalError
+from cryptoherm.metric import metric_operators, spectral_metrics
 from cryptoherm.models import random_cryptohermitian, scenario_falsification, scenario_random
 
 
 def _residual(h, theta):
     return norm_fro(h.conj().T @ theta - theta @ h) / (norm_fro(h) * norm_fro(theta))
+
+
+def _outcome(call):
+    """The MetricOperator a one-matrix call returns, or the error it raises."""
+    try:
+        return call()
+    except (ValueError, NumericalError) as error:
+        return error
+
+
+def _same_outcome(stacked, single):
+    assert type(stacked) is type(single)
+    if isinstance(single, Exception):
+        assert str(stacked) == str(single)
+    else:
+        assert np.array_equal(stacked.matrix, single.matrix)
+        assert (stacked.min_eig, stacked.max_eig) == (single.min_eig, single.max_eig)
+
+
+def test_stacked_metric_checks_equal_one_matrix_calls():
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    good = b.conj().T @ b + 0.1 * np.eye(3)
+    candidates = [good, good + 1e-6 * b, np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 1e-13, 1.0]),
+                  np.full((3, 3), np.inf), 2.0 * good]
+    for stacked, theta in zip(metric_operators(np.array(candidates, dtype=complex)), candidates):
+        _same_outcome(stacked, _outcome(lambda: MetricOperator.from_matrix(theta)))
+
+    system = biorthogonal_decompose(np.array([[1.0, 1.0], [4.0, 1.0]], dtype=complex))
+    weights = [[1.0, 2.5], [1.0, -1.0], [1.0 + 0.5j, 1.0], [1.0, np.nan], [1.0, 0.0], [0.3, 7.0]]
+    rows = spectral_metrics(np.array([system.left_vectors] * len(weights)), np.array(weights))
+    for stacked, kappa in zip(rows, weights):
+        _same_outcome(stacked, _outcome(lambda: metric_from_spectral(system, np.array(kappa))))
+    # the one-matrix call assembles Θ as the formula reads, bit for bit
+    left = system.left_vectors
+    theta = (left * np.array([0.3, 7.0])) @ left.conj().T
+    assert np.array_equal(rows[-1].matrix, 0.5 * (theta + theta.conj().T))
 
 
 def test_spectral_metric_hermitian_gives_identity():

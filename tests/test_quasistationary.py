@@ -1,5 +1,7 @@
 """Tests for the stationary-metric certification machinery."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
+    DefectiveMatrix,
     ExpectsRealSpectrum,
+    ScanStats,
+    SingularMatrix,
     TaylorHamiltonian,
+    biorthogonal_decompose,
+    metric_from_spectral,
     qs_certify,
     qs_scan,
     qs_solve,
@@ -17,8 +24,10 @@ from cryptoherm import (
     sample_shared_degree2,
     stationarity_residual,
 )
+from cryptoherm import quasistationary
 from cryptoherm.linalg import principal_sqrt
-from cryptoherm.quasistationary import _planted_spectrum, _solve_weights
+from cryptoherm.models import _planted_spectrum
+from cryptoherm.quasistationary import MAX_TRIALS, _certify_families, _solve_weights
 
 
 def _hermitian(rng, n):
@@ -227,3 +236,241 @@ def test_planted_spectrum_keeps_its_gaps_at_the_largest_dimension():
         assert values.shape == (40,)
         assert np.diff(values).min() >= 0.1 - 1e-12
         assert -2.0 <= values[0] and values[-1] <= 2.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked certifier against one family at a time
+# ---------------------------------------------------------------------------
+
+#: ScanStats.as_flat_dict() counts (compatible, incompatible, exceptional,
+#: violation_order_2) of 12-trial scans, recorded with the one-family-at-a-time
+#: certifier that preceded the stacked one
+GOLDEN_SCANS = {
+    **{
+        (name, dim, seed, 1e-8): counts
+        for name, counts in (
+            ("shared", (12, 0, 0, 0)),
+            ("independent", (0, 12, 0, 0)),
+            ("shared-degree2", (0, 12, 0, 12)),
+        )
+        for dim in (4, 8, 16)
+        for seed in (3, 2008)
+    },
+    ("independent", 4, 3, 1e-2): (0, 11, 1, 0),
+    ("independent", 4, 2008, 1e-2): (0, 12, 0, 0),
+    ("independent", 8, 3, 1e-2): (0, 6, 6, 0),
+    ("independent", 8, 2008, 1e-2): (0, 10, 2, 0),
+    ("independent", 16, 3, 1e-2): (0, 0, 12, 0),
+    ("independent", 16, 2008, 1e-2): (0, 0, 12, 0),
+}
+
+
+@pytest.mark.parametrize("name, dim, seed, tol", sorted(GOLDEN_SCANS))
+def test_scan_outcomes_are_pinned(name, dim, seed, tol):
+    compatible, incompatible, exceptional, order2 = GOLDEN_SCANS[name, dim, seed, tol]
+    expected = {
+        "trials": 12,
+        "dim": dim,
+        "seed": seed,
+        "compatible": compatible,
+        "incompatible": incompatible,
+        "exceptional": exceptional,
+        **({"violation_order_2": order2} if order2 else {}),
+    }
+    assert qs_scan(name, 12, dim, seed, tol).as_flat_dict() == expected
+
+
+@pytest.mark.parametrize("scan_bytes", [quasistationary.SCAN_BYTES, 16 * 1024])
+def test_scan_outcomes_across_chunks_are_pinned(monkeypatch, scan_bytes):
+    # 1152 coefficient bytes a trial: one stack, or five of 15 trials and less
+    monkeypatch.setattr(quasistationary, "SCAN_BYTES", scan_bytes)
+    stats = qs_scan("independent", 70, 6, 5, 0.01)
+    assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 63, 7)
+    stats = qs_scan("independent", 70, 6, 5, 0.03)
+    assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 28, 42)
+
+
+def _reference_scan(sampler, trials, dim, seed, tol_qs=1e-8):
+    """qs_scan's counts from one qs_certify call per trial."""
+    counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
+    orders = {}
+    for i in range(trials):
+        try:
+            cert = qs_certify(sampler(np.random.default_rng(seed + i), dim), tol_qs)
+        except (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum):
+            counts["exceptional"] += 1
+            continue
+        counts[cert.status] += 1
+        if cert.first_violation_order is not None:
+            orders[cert.first_violation_order] = orders.get(cert.first_violation_order, 0) + 1
+    return ScanStats(trials, dim, seed, violation_orders=orders, **counts)
+
+
+def _same_certificate(a, b):
+    assert (a.status, a.first_violation_order, a.residuals, a.detail) == (
+        b.status, b.first_violation_order, b.residuals, b.detail
+    )
+    assert (a.kappa is None) == (b.kappa is None)
+    if a.kappa is not None:
+        assert np.array_equal(a.kappa, b.kappa)
+    assert (a.metric is None) == (b.metric is None)
+    if a.metric is not None:
+        assert np.array_equal(a.metric.matrix, b.metric.matrix)
+        assert (a.metric.min_eig, a.metric.max_eig) == (b.metric.min_eig, b.metric.max_eig)
+
+
+def _overlap_condition_matrix(ham):
+    sys0 = biorthogonal_decompose(ham.coefficients[0])
+    sys1 = biorthogonal_decompose(ham.coefficients[1])
+    a = sys0.left_vectors.conj().T @ sys1.right_vectors
+    return (a * sys1.eigenvalues.real) @ np.linalg.inv(a)
+
+
+def _block_family(seed):
+    """Two decoupled 2x2 blocks: M is block diagonal, so its significance
+    pattern is neither all pairs nor none."""
+    rng = np.random.default_rng(seed)
+    blocks = [sample_independent(rng, 2) for _ in range(2)]
+    zero = np.zeros((2, 2))
+    return TaylorHamiltonian(tuple(
+        np.block([[b0, zero], [zero, b1]])
+        for b0, b1 in zip(blocks[0].coefficients, blocks[1].coefficients)
+    ))
+
+
+def test_mixed_pattern_trial_in_a_stack_equals_a_standalone_certificate():
+    families = [sample_shared(np.random.default_rng(1), 4), _block_family(2),
+                sample_independent(np.random.default_rng(3), 4), _block_family(4)]
+    m = _overlap_condition_matrix(families[1])
+    significant = (np.abs(m) >= 1e-8 * np.linalg.norm(m)) & ~np.eye(4, dtype=bool)
+    assert 0 < significant.sum() < 12
+    for family, outcome in zip(families, _certify_families(families, 1e-8)):
+        _same_certificate(outcome, qs_certify(family))
+
+
+def test_vectorized_weights_equal_the_component_search():
+    # every off-diagonal pair significant: κ_k = M₀ₖ / M*ₖ₀ in one step must
+    # reproduce _solve_weights, the per-family reference, bit for bit
+    compared = 0
+    for seed in range(8):
+        h0, h1, _ = _metric_compatible_pair(seed, 5)
+        ham = TaylorHamiltonian((h0, h1))
+        if seed % 2:
+            ham = sample_independent(np.random.default_rng(seed), 5)
+        m = _overlap_condition_matrix(ham)
+        kappa, detail = _solve_weights(m, 1e-8 * np.linalg.norm(m))
+        assert detail is None and (np.abs(m) >= 1e-8 * np.linalg.norm(m)).all()
+        cert = qs_certify(ham)
+        if cert.kappa is not None:
+            assert np.array_equal(cert.kappa, kappa.real)
+            compared += 1
+    assert compared >= 4
+
+
+def test_certificate_fields_equal_the_one_matrix_formulas():
+    # the stacked certifier against plain numpy on each certificate: Θ as
+    # metric_from_spectral assembles it, each residual as
+    # ‖H†Θ − ΘH‖ / (‖H‖·‖Θ‖) with np.linalg.norm, bit for bit
+    families = [sample_shared(np.random.default_rng(s), 5) for s in range(3)]
+    families += [sample_independent(np.random.default_rng(s), 4) for s in range(3)]
+    families += [sample_shared_degree2(np.random.default_rng(s), 6) for s in range(3)]
+    statuses = set()
+    for family in families:
+        cert = qs_certify(family)
+        statuses.add((cert.status, cert.first_violation_order))
+        if cert.kappa is None:
+            continue
+        left = biorthogonal_decompose(family.coefficients[0]).left_vectors
+        theta = (left * cert.kappa) @ left.conj().T
+        assert np.array_equal(cert.metric.matrix, 0.5 * (theta + theta.conj().T))
+        assert np.array_equal(
+            cert.metric.matrix,
+            metric_from_spectral(biorthogonal_decompose(family.coefficients[0]), cert.kappa).matrix,
+        )
+        th = cert.metric.matrix
+        for h, r in zip(family.coefficients, cert.residuals):
+            assert r == stationarity_residual(h, th)
+            assert r == np.linalg.norm(h.conj().T @ th - th @ h) / (
+                np.linalg.norm(h) * np.linalg.norm(th)
+            )
+    assert statuses == {("compatible", None), ("incompatible", None), ("incompatible", 2)}
+
+
+def test_stationarity_residual_broadcasts_over_stacks():
+    rng = np.random.default_rng(8)
+    hs = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    hs[1, 2] = 0.0
+    thetas = np.array([_metric_compatible_pair(s, 4)[2] for s in range(2)])
+    residuals = stationarity_residual(hs, thetas[:, None])
+    assert residuals.shape == (2, 3) and residuals[1, 2] == 0.0
+    for i in range(2):
+        for k in range(3):
+            assert residuals[i, k] == stationarity_residual(hs[i, k], thetas[i])
+    assert isinstance(stationarity_residual(hs[0, 0], thetas[0]), float)
+
+
+def test_custom_sampler_with_mixed_degrees_and_dimensions():
+    def sampler(rng, dim):
+        degree2 = rng.integers(2)
+        family = (sample_shared_degree2 if degree2 else sample_independent)(rng, dim)
+        return family if rng.integers(3) else sample_shared(rng, dim + 1)
+
+    stats = qs_scan(sampler, 45, 3, 17)
+    assert stats == _reference_scan(sampler, 45, 3, 17)
+    assert stats.compatible and stats.incompatible and stats.violation_orders
+
+
+def _sampler_of(outcomes):
+    """A sampler whose trial i returns a shared family, a degree-0 family or
+    raises, as ``outcomes[i]`` is "ok", "constant" or "raise"."""
+    def sampler(rng, dim):
+        kind = outcomes[len(drawn)]
+        drawn.append(kind)
+        if kind == "raise":
+            raise RuntimeError("sampler failed")
+        if kind == "constant":
+            return TaylorHamiltonian((np.eye(dim, dtype=complex),))
+        return sample_shared(rng, dim)
+
+    drawn = []
+    return sampler, drawn
+
+
+def test_scan_raises_the_first_trial_error_in_trial_order(monkeypatch):
+    # trial 1 cannot be certified, and one trial at a time its error comes
+    # before trial 2 is drawn
+    sampler, drawn = _sampler_of(["ok", "constant", "raise"])
+    with pytest.raises(ValueError, match="linear coefficient"):
+        qs_scan(sampler, 3, 2, 0)
+    sampler, drawn = _sampler_of(["ok", "ok", "raise", "constant"])
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        qs_scan(sampler, 4, 2, 0)
+    assert drawn == ["ok", "ok", "raise"]
+    # 128 coefficient bytes a linear trial and 64 the degree-0 one: the second
+    # stack, which holds the latter, fills at trial 16 and is certified
+    # before trial 17 is drawn
+    monkeypatch.setattr(quasistationary, "SCAN_BYTES", 1024)
+    sampler, drawn = _sampler_of(["ok"] * 8 + ["constant"] + ["ok"] * 8 + ["raise"])
+    with pytest.raises(ValueError, match="linear coefficient"):
+        qs_scan(sampler, 18, 2, 0)
+    assert len(drawn) == 17
+
+
+def test_scan_memory_does_not_grow_with_trials(monkeypatch):
+    # 3 KiB of coefficients a trial: 400 trials hold 1.2 MiB, a stack 32 KiB
+    monkeypatch.setattr(quasistationary, "SCAN_BYTES", 32 * 1024)
+    qs_scan("shared-degree2", 4, 8, 0)  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        qs_scan("shared-degree2", 400, 8, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 32 * 1024
+
+
+def test_trials_cap_raises_before_sampling():
+    calls = []
+    with pytest.raises(ValueError, match="cap"):
+        qs_scan(lambda rng, dim: calls.append(dim), MAX_TRIALS + 1, 3, 0)
+    assert calls == []
