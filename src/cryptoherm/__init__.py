@@ -56,7 +56,6 @@ from .metric import (
     hermitize,
     metric_from_dyson,
     metric_from_spectral,
-    numeric_connection,
     physical_inner,
     projector_pair,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -347,38 +346,29 @@ def _validate_command(cfg: RunConfig, errors: list[str]):
 # serialization (full precision; reruns are byte identical)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _pairs(array) -> np.ndarray:
     """A complex scalar or array as a float array of [re, im] pairs."""
     return np.stack([array.real, array.imag], -1)
 
 
-#: JSON's spelling of the floats ``float.__repr__`` writes as nan and inf
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_array(array: np.ndarray, level: int) -> str:
     """A float array as ``json.dumps(array.tolist(), indent=2)`` writes it at
-    nesting ``level``: one ``float.__repr__`` map, then joins along each axis
-    from the last."""
-    items = list(map(float.__repr__, array.ravel().tolist()))
-    if not np.isfinite(array).all():
-        items = [_JSON_FLOATS.get(x, x) for x in items]
+    nesting ``level``: one ``%r`` template carries the nesting of the shape,
+    filled with every float at once."""
+    template = "%r"
     for axis in reversed(range(array.ndim)):
         size = array.shape[axis]
         if size == 0:
-            items = ["[]"] * math.prod(array.shape[:axis])
+            template = "[]"
             continue
         pad = "\n" + "  " * (level + axis + 1)
         close = "\n" + "  " * (level + axis) + "]"
-        items = [
-            "[" + pad + ("," + pad).join(items[i : i + size]) + close
-            for i in range(0, len(items), size)
-        ]
-    return items[0]
+        template = "[" + pad + ("," + pad).join([template] * size) + close
+    text = template % tuple(array.ravel().tolist())
+    if not np.isfinite(array).all():
+        # JSON's spelling of the floats repr writes as nan, inf and -inf
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _json(obj, level: int = 0) -> str:
@@ -426,10 +416,12 @@ def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str
     header += ["overlap_re", "overlap_im", "drift"]
     # one complex table viewed as [re, im] columns; t and drift keep only re
     table = np.column_stack([traj.times, traj.phi, traj.psi, traj.overlap, drift]).view(float)
-    rows = np.delete(table, [1, -1], axis=1).tolist()
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    values = np.delete(table, [1, -1], axis=1)
+    # one "%.17g" row template per row under the header, which holds no "%"
+    row = ",".join(["%.17g"] * values.shape[1])
+    template = "\n".join([",".join(header)] + [row] * values.shape[0]) + "\n"
     path = path_base.with_suffix(".csv")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(template % tuple(values.ravel().tolist()))
     return path
 
 
@@ -543,9 +535,10 @@ def _run_qs_scan(cfg, out):
 
 
 def _run_demo(cfg, out):
-    args = (cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step)
-    covariant = evolution.propagate_pair(*args)
-    naive = evolution.propagate_naive(*args)
+    # both rules in one RK4 run; each trajectory equals its propagator's bit for bit
+    covariant, naive = evolution._propagate_doublet(
+        cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step, (True, False)
+    )
     covariant_drift = max(covariant.max_norm_drift, covariant.max_metric_drift)
     ratio = naive.max_metric_drift / max(covariant_drift, np.finfo(float).tiny)
     paths = [

@@ -18,6 +18,9 @@ state with one batched product per stage, against a table of the generators
 at each substep's start, midpoint and end filled TABLE_BYTES at a time, so
 memory stays flat in the run length.  For a matrix polynomial a chunk is one
 GEMM of monomial weights against the stacked coefficients, plus θ′(t)·G.
+A picture comparison is one run of that kernel: the cross-check stacks the
+covariant [U_R | Φ] and the lower-case [· | φ], and the covariant and naive
+doublets of the falsification demo share one stack as well.
 
 The Dyson maps are tabulated the same way: the metric norms of a trajectory,
 the lower-case generators Ω·H·Ω⁻¹ of the picture cross-check and its
@@ -250,23 +253,44 @@ def _map_slices(n: int, dim: int):
     return [slice(a, a + size) for a in range(0, n, size)]
 
 
-def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connection: bool):
-    """Table filler for the ket generator A = −iH(t) − θ′(t)·G and the bra −A†;
-    without ``connection``, or for a constant family, θ′·G is dropped."""
-    with_g = connection and family.kind != "constant"
+def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connections):
+    """Table filler for the ket generator A = −iH(t) − θ′(t)·G and the bra −A†
+    of each flag in ``connections``, in entries 2f and 2f + 1; without the
+    flag, or for a constant family, θ′·G is dropped."""
 
     def fill(t, out):
-        ket, bra = out
-        _taylor_table(hamiltonian, t, ket, -1j)
-        if with_g:
-            rate = family.theta_rate(t).astype(complex)
-            np.multiply(rate[:, None, None], family.generator, out=bra)
-            ket -= bra
-        np.copyto(bra, ket.swapaxes(1, 2))
-        np.conjugate(bra, out=bra)
-        np.negative(bra, out=bra)
+        for ket, bra, connection in zip(out[::2], out[1::2], connections):
+            _taylor_table(hamiltonian, t, ket, -1j)
+            if connection and family.kind != "constant":
+                rate = family.theta_rate(t).astype(complex)
+                np.multiply(rate[:, None, None], family.generator, out=bra)
+                ket -= bra
+            np.copyto(bra, ket.swapaxes(1, 2))
+            np.conjugate(bra, out=bra)
+            np.negative(bra, out=bra)
 
     return fill
+
+
+def _hermitian_generator(t, h) -> float:
+    """Turn the samples ``h[i]`` of a Hermitian generator at times ``t[i]``
+    into −i·sym(h[i]) in place; returns the worst relative anti-Hermitian
+    defect that was symmetrized away.
+
+    Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
+    at the first time that is not).
+    """
+    h_dag = h.conj().swapaxes(1, 2)
+    fro = lambda x: np.sqrt(np.einsum("nij,nij->n", x.view(float), x.view(float)))
+    scale, defect = fro(h), fro(h - h_dag)
+    if (bad := defect > 1e-10 * scale).any():
+        raise NotHermitian(
+            f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
+        )
+    h += h_dag
+    h *= -0.5j
+    rel = defect[scale > 0.0] / scale[scale > 0.0]
+    return float(rel.max(initial=0.0))
 
 
 def generator(hamiltonian: TaylorHamiltonian, family: DysonFamily, t: float) -> np.ndarray:
@@ -278,22 +302,34 @@ def generator(hamiltonian: TaylorHamiltonian, family: DysonFamily, t: float) -> 
     return hamiltonian.evaluate(t) - 1j * family.connection(t)
 
 
-def _assemble_trajectory(times, phis, psis, family: DysonFamily) -> StateTrajectory:
-    overlap = np.empty(times.size, dtype=complex)
-    metric_norm = np.empty(times.size, dtype=float)
+def _assemble_trajectories(times, states, family: DysonFamily) -> list:
+    """One ``StateTrajectory`` per doublet of the samples ``states``, shape
+    (len(times), 2F, d): Φ in entry 2f, Ψ in entry 2f + 1.  The doublets
+    share one Ω table per chunk of times."""
+    flags = states.shape[1] // 2
+    overlap = np.empty((flags, times.size), dtype=complex)
+    metric_norm = np.empty((flags, times.size), dtype=float)
     for sl in _map_slices(times.size, family.dim):
-        overlap[sl] = np.sum(psis[sl].conj() * phis[sl], axis=1)
-        w = np.einsum("kij,kj->ki", family.omega(times[sl]), phis[sl])
-        metric_norm[sl] = np.einsum("ki,ki->k", w.conj(), w).real
-    max_norm_drift = float(np.abs(overlap - overlap[0]).max())
-    max_metric_drift = float(np.abs(metric_norm - metric_norm[0]).max())
-    return StateTrajectory(
-        times, phis, psis, overlap, max_norm_drift, metric_norm, max_metric_drift
-    )
+        omega = family.omega(times[sl])
+        for f in range(flags):
+            phis, psis = states[sl, 2 * f], states[sl, 2 * f + 1]
+            overlap[f, sl] = np.sum(psis.conj() * phis, axis=1)
+            w = np.einsum("kij,kj->ki", omega, phis)
+            metric_norm[f, sl] = np.einsum("ki,ki->k", w.conj(), w).real
+    return [
+        StateTrajectory(
+            times, states[:, 2 * f], states[:, 2 * f + 1], overlap[f],
+            float(np.abs(overlap[f] - overlap[f, 0]).max()), metric_norm[f],
+            float(np.abs(metric_norm[f] - metric_norm[f, 0]).max()),
+        )
+        for f in range(flags)
+    ]
 
 
-def _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, connection):
-    """Shared body of the covariant and naive doublet propagators."""
+def _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, connections):
+    """Body of the covariant and naive doublet propagators: one RK4 run over
+    a doublet per flag in ``connections`` (True: covariant, False: naive),
+    returning one trajectory per flag."""
     if grid is None:
         raise ValueError("grid is required")
     phi0 = as_state(phi0, hamiltonian.dim)
@@ -303,9 +339,9 @@ def _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, connection):
         psi0 = om0.conj().T @ (om0 @ phi0)
     else:
         psi0 = as_state(psi0, hamiltonian.dim)
-    fill = _taylor_fill(hamiltonian, family, connection)
-    states = _rk4(times, plan, np.stack([phi0, psi0])[:, :, None], fill)[..., 0]
-    return _assemble_trajectory(times, states[:, 0], states[:, 1], family)
+    y0 = np.stack([phi0, psi0] * len(connections))[:, :, None]
+    states = _rk4(times, plan, y0, _taylor_fill(hamiltonian, family, connections))[..., 0]
+    return _assemble_trajectories(times, states, family)
 
 
 def propagate_pair(
@@ -323,7 +359,7 @@ def propagate_pair(
     equals the metric norm and both stay constant up to integrator error.
     ``grid`` is required (``ValueError`` otherwise).
     """
-    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, True)
+    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, (True,))[0]
 
 
 def propagate_naive(
@@ -342,38 +378,7 @@ def propagate_naive(
     excursion of the instantaneous-metric norm, which this rule fails to
     conserve whenever the connection matters.
     """
-    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, False)
-
-
-def _propagate_hermitian(sample, phi0, times, plan) -> VectorTrajectory:
-    """Shared body of the lower-case propagators: ``sample(t, h)`` writes the
-    Hermitian generator at each time ``t[i]`` into ``h[i]``.
-
-    Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
-    at the first time that is not); the residual is symmetrized away.
-    """
-    worst_defect = 0.0
-
-    def fill(t, out):
-        nonlocal worst_defect
-        (h,) = out  # the samples go straight into the table, then become −i·sym(h)
-        sample(t, h)
-        h_dag = h.conj().swapaxes(1, 2)
-        fro = lambda x: np.sqrt(np.einsum("nij,nij->n", x.view(float), x.view(float)))
-        scale, defect = fro(h), fro(h - h_dag)
-        if (bad := defect > 1e-10 * scale).any():
-            raise NotHermitian(
-                f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
-            )
-        rel = defect[scale > 0.0] / scale[scale > 0.0]
-        worst_defect = max(worst_defect, float(rel.max(initial=0.0)))
-        h += h_dag
-        h *= -0.5j
-
-    states = _rk4(times, plan, phi0[None, :, None], fill)[:, 0, :, 0]
-    norms = np.real(np.sum(states.conj() * states, axis=1))
-    drift = float(np.abs(norms - norms[0]).max())
-    return VectorTrajectory(times, states, norms, drift, worst_defect)
+    return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, (False,))[0]
 
 
 def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
@@ -389,11 +394,19 @@ def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
     first = [as_square_matrix(h_of_t(times[0]))]  # the table's first entry
     phi0 = as_state(phi0, first[0].shape[0])
 
-    def sample(t, h):
+    worst_defect = 0.0
+
+    def fill(t, out):
+        nonlocal worst_defect
+        (h,) = out  # the samples go straight into the table, then become −i·sym(h)
         for i, s in enumerate(t.tolist()):
             h[i] = first.pop() if first else as_square_matrix(h_of_t(s))
+        worst_defect = max(worst_defect, _hermitian_generator(t, h))
 
-    return _propagate_hermitian(sample, phi0, times, plan)
+    states = _rk4(times, plan, phi0[None, :, None], fill)[:, 0, :, 0]
+    norms = np.real(np.sum(states.conj() * states, axis=1))
+    drift = float(np.abs(norms - norms[0]).max())
+    return VectorTrajectory(times, states, norms, drift, worst_defect)
 
 
 def evolution_operators(
@@ -410,7 +423,7 @@ def evolution_operators(
     """
     times, plan = _substep_plan(grid, step)
     eye = np.broadcast_to(np.eye(hamiltonian.dim, dtype=complex), (2,) + (hamiltonian.dim,) * 2)
-    ops = _rk4(times, plan, eye, _taylor_fill(hamiltonian, family, True))
+    ops = _rk4(times, plan, eye, _taylor_fill(hamiltonian, family, (True,)))
     u_right, u_left_dag = ops[:, 0], ops[:, 1]
     product0 = u_left_dag[0].conj().T @ u_right[0]
     residual = np.array(
@@ -428,35 +441,44 @@ def crosscheck_pictures(
 ) -> CrosscheckReport:
     """Compute |Φ(t)⟩ three independent ways and report pairwise deviations.
 
-    (a) doublet propagation with ψ₀ = Θ(t₀)·φ₀, (b) lower-case propagation of
-    φ = ΩΦ under the hermitized image followed by the pull-back Ω⁻¹(t)φ(t),
-    and (c) application of the right evolution operator to φ₀.  The family
-    must have a Hermitian hermitized image along the grid for route (b) to be
-    admissible.
+    (a) covariant propagation of φ₀, (b) lower-case propagation of φ = ΩΦ
+    under the hermitized image followed by the pull-back Ω⁻¹(t)φ(t), and (c)
+    application of the right evolution operator to φ₀.  One RK4 run steps
+    all three: entry 0 holds [U_R | Φ] from [I | φ₀] under the covariant ket
+    generator, entry 1 holds [· | φ] from [I | Ω(t₀)φ₀] under −i·sym(Ω·H·Ω⁻¹).
+    The family must have a Hermitian hermitized image along the grid for
+    route (b) to be admissible (``NotHermitian`` at the first time it is not).
     """
-    phi0 = as_state(phi0, hamiltonian.dim)
-    pair = propagate_pair(hamiltonian, family, phi0, None, grid, step)
+    dim = hamiltonian.dim
+    phi0 = as_state(phi0, dim)
+    times, plan = _substep_plan(grid, step)
 
-    def sample(t, h):
-        for sl in _map_slices(t.size, hamiltonian.dim):
+    covariant = _taylor_fill(hamiltonian, family, (True,))
+
+    def fill(t, out):
+        covariant(t, out)  # A into entry 0; the samples overwrite its −A† in entry 1
+        h = out[1]
+        for sl in _map_slices(t.size, dim):
             _taylor_table(hamiltonian, t[sl], h[sl])
             h[sl] = family.omega(t[sl]) @ h[sl] @ family.omega_inv(t[sl])
+        _hermitian_generator(t, h)
 
-    lower = _propagate_hermitian(
-        sample, family.omega(pair.times[0]) @ phi0, *_substep_plan(grid, step)
-    )
+    y0 = np.empty((2, dim, dim + 1), dtype=complex)
+    y0[:, :, :dim] = np.eye(dim)
+    y0[0, :, dim], y0[1, :, dim] = phi0, family.omega(times[0]) @ phi0
+    samples = _rk4(times, plan, y0, fill)
+    # a copy, so that the report does not keep the operator samples alive
+    phi_pair, lower = samples[:, 0, :, dim].copy(), samples[:, 1, :, dim]
     phi_lower = np.concatenate([
-        np.einsum("kij,kj->ki", family.omega_inv(lower.times[sl]), lower.states[sl])
-        for sl in _map_slices(lower.times.size, hamiltonian.dim)
+        np.einsum("kij,kj->ki", family.omega_inv(times[sl]), lower[sl])
+        for sl in _map_slices(times.size, dim)
     ])
-
-    ops = evolution_operators(hamiltonian, family, grid, step)
-    phi_ops = np.einsum("kij,j->ki", ops.u_right, phi0)
+    phi_ops = np.einsum("kij,j->ki", samples[:, 0, :, :dim], phi0)
 
     def max_dev(a, b):
         return float(np.linalg.norm(a - b, axis=1).max())
 
     return CrosscheckReport(
-        pair.times, pair.phi, phi_lower, phi_ops,
-        max_dev(pair.phi, phi_lower), max_dev(pair.phi, phi_ops), max_dev(phi_lower, phi_ops),
+        times, phi_pair, phi_lower, phi_ops,
+        max_dev(phi_pair, phi_lower), max_dev(phi_pair, phi_ops), max_dev(phi_lower, phi_ops),
     )

@@ -225,29 +225,11 @@ class DysonFamily:
             return np.broadcast_to(self._matrix_inv, np.shape(t) + self.matrix.shape)
         return self._exp(-self.theta_at(t))
 
-    def omega_dot(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.theta_rate(t) * (self.generator @ self.omega(t))
-
     def connection(self, t: float) -> np.ndarray:
         """Ω⁻¹(t)·Ω̇(t), evaluated exactly."""
         if self.kind == "constant":
             return np.zeros((self.dim, self.dim), dtype=complex)
         return self.theta_rate(t) * self.generator
-
-
-def numeric_connection(omega_of_t, t: float, rel_step: float = 1e-6) -> np.ndarray:
-    """Finite-difference fallback for Ω⁻¹Ω̇ from a tabulated map.
-
-    Central difference with relative step ``rel_step``; intended for
-    user-supplied families without an analytic derivative.  The result is
-    approximate and callers should flag it as such in any output.
-    """
-    h = rel_step * max(abs(t), 1.0)
-    omega = as_square_matrix(omega_of_t(t))
-    dot = (as_square_matrix(omega_of_t(t + h)) - as_square_matrix(omega_of_t(t - h))) / (2.0 * h)
-    return invert(omega) @ dot
 
 
 def metric_from_spectral(system: BiorthonormalSystem, kappa) -> MetricOperator:

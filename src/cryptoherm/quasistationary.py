@@ -324,8 +324,9 @@ def qs_scan(
     """Certify ``trials`` independently sampled families and count outcomes.
 
     ``sampler`` is a callable ``(rng, dim) -> TaylorHamiltonian`` (or a key
-    of :data:`SAMPLERS`).  Trial i uses ``default_rng(seed + i)``, so trials
-    are independent and the whole scan is deterministic given the seed.
+    of :data:`SAMPLERS`).  Trial i draws from the i-th child of
+    ``SeedSequence(seed)``, so trials are independent within a scan and
+    across seeds, and the whole scan is deterministic given the seed.
     Decomposition failures and singular overlaps count as exceptional; any
     other error ``qs_certify`` raises for a trial is raised.  Trials are
     sampled until their coefficients fill ``SCAN_BYTES`` and then certified
@@ -360,7 +361,9 @@ def qs_scan(
     families, size = [], 0
     try:
         for i in range(trials):
-            family = sampler(np.random.default_rng(seed + i), dim)
+            # SeedSequence(seed).spawn(trials)[i], built without the other children
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            family = sampler(rng, dim)
             families.append(family)
             size += 16 * (family.degree + 1) * family.dim**2
             if size >= SCAN_BYTES:

@@ -504,6 +504,10 @@ SPECIAL_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324, 0
         {},
         np.zeros((1, 1, 0)),
         "é",
+        # shapes with 0 and 1 entries along an axis, at three nesting levels
+        {"a": [{"b": np.resize(np.append(SPECIAL_FLOATS, 1e308), shape)} for shape in (
+            (0,), (1,), (1, 1), (0, 1), (1, 0), (2, 0, 1), (1, 2, 1)
+        )]},
     ],
 )
 def test_json_writer_matches_json_dumps(tmp_path, payload):
@@ -569,3 +573,73 @@ def test_whole_array_parse_equals_entry_by_entry():
     errors = []
     cli._vector("v")([2**1024 - 2**970 - 1], errors)  # an integer that rounds to the float maximum
     assert errors == ["v[0] must be a finite number or a [re, im] pair"]
+
+
+# ---------------------------------------------------------------------------
+# the demo's one RK4 run, and the template writers of trajectories
+# ---------------------------------------------------------------------------
+
+def test_demo_makes_one_rk4_run_equal_to_evolve_and_naive_evolve(tmp_path, monkeypatch):
+    from cryptoherm import evolution
+
+    calls, rk4 = [], evolution._rk4
+    monkeypatch.setattr(evolution, "_rk4", lambda *args: calls.append(1) or rk4(*args))
+    assert _exit_code(tmp_path, {"command": "demo"}) == 0
+    assert len(calls) == 1
+    demo = tmp_path / "out"
+    # the same falsification inputs, one propagator per run
+    for command, name, alone in (
+        ("evolve", "covariant", "trajectory"), ("naive-evolve", "naive", "naive_trajectory")
+    ):
+        path = _write(tmp_path, f"{command}.json", {"command": command, **SCENARIO, "step": 1e-3})
+        assert main(["--config", str(path), "--out", str(tmp_path / command), "--quiet"]) == 0
+        written = (tmp_path / command / f"{alone}.csv").read_bytes()
+        assert (demo / f"{name}.csv").read_bytes() == written
+        summary = json.loads((tmp_path / command / f"{alone}_summary.json").read_text())
+        demo_summary = json.loads((demo / "demo_summary.json").read_text())
+        assert demo_summary[f"{name}_metric_drift"] == summary["max_metric_drift"]
+        assert demo_summary[f"{name}_norm_drift"] == summary["max_norm_drift"]
+    assert len(calls) == 3
+
+
+#: floats whose shortest and 17-digit spellings are easy to get wrong
+WRITER_FLOATS = [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 1e16, 0.0]
+
+
+def _trajectory(samples, dim, values):
+    """A trajectory whose t, Φ, Ψ and overlap floats cycle through ``values``."""
+    from cryptoherm.evolution import StateTrajectory
+
+    floats = np.resize(np.array(values), (samples, 4 * dim + 3))
+    c = np.ascontiguousarray(floats[:, 1:]).view(complex)
+    zeros = np.zeros(samples)
+    return StateTrajectory(floats[:, 0], c[:, :dim], c[:, dim:-1], c[:, -1], 0.0, zeros, 0.0)
+
+
+@pytest.mark.parametrize("samples, dim", [(1, 1), (3, 2), (1, 4)])
+def test_trajectory_writers_match_per_float_formatting(tmp_path, samples, dim):
+    traj = _trajectory(samples, dim, WRITER_FLOATS)
+    drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
+    pairs = lambda z: np.stack([z.real, z.imag], -1)
+    rows = [
+        [t, *pairs(phi).ravel(), *pairs(psi).ravel(), o.real, o.imag, d]
+        for t, phi, psi, o, d in zip(traj.times, traj.phi, traj.psi, traj.overlap, drift)
+    ]
+    path = cli._write_trajectory(tmp_path / "traj", traj, "csv")
+    lines = path.read_text().splitlines()
+    assert len(lines) == samples + 1 and lines[0].split(",")[0] == "t"
+    assert lines[1:] == [",".join(format(float(x), ".17g") for x in row) for row in rows]
+
+    # JSON, with the non-finite spellings as well (inf − inf in the drift is nan)
+    traj = _trajectory(samples, dim, WRITER_FLOATS + [np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
+        path = cli._write_trajectory(tmp_path / "traj", traj, "json")
+    expected = {
+        "times": traj.times.tolist(),
+        "phi": pairs(traj.phi).tolist(),
+        "psi": pairs(traj.psi).tolist(),
+        "overlap": pairs(traj.overlap).tolist(),
+        "drift": drift.tolist(),
+    }
+    assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -474,3 +474,91 @@ def test_doublet_propagators_require_a_grid(propagate):
     ham, fam, phi0, _ = scenario_falsification()
     with pytest.raises(ValueError, match="grid is required"):
         propagate(ham, fam, phi0)
+
+
+# ---------------------------------------------------------------------------
+# one RK4 run per picture comparison
+# ---------------------------------------------------------------------------
+
+def _counted_rk4(monkeypatch):
+    """Patch ``evolution._rk4`` to record the stacked state of every call."""
+    calls, rk4 = [], evolution._rk4
+
+    def counted(times, plan, y0, fill):
+        calls.append(y0.shape)
+        return rk4(times, plan, y0, fill)
+
+    monkeypatch.setattr(evolution, "_rk4", counted)
+    return calls
+
+
+def test_crosscheck_makes_one_rk4_run(monkeypatch):
+    calls = _counted_rk4(monkeypatch)
+    ham, fam, phi0, grid = scenario_random(4, 3)
+    crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
+    assert calls == [(2, 4, 5)]
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (4, 3), (16, 2)])
+def test_crosscheck_routes_match_three_separate_runs(dim, seed):
+    ham, fam, phi0, grid = scenario_random(dim, seed)
+    report = crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
+
+    # the three passes the cross-check replaces: doublet, lower case, operators
+    pair = propagate_pair(ham, fam, phi0, None, grid, 1e-3)
+    lower = propagate_h(
+        lambda t: fam.omega(t) @ ham.evaluate(t) @ fam.omega_inv(t),
+        fam.omega(grid[0]) @ phi0, grid, 1e-3,
+    )
+    phi_lower = np.einsum("kij,kj->ki", fam.omega_inv(grid), lower.states)
+    ops = evolution_operators(ham, fam, grid, 1e-3)
+    phi_ops = np.einsum("kij,j->ki", ops.u_right, phi0)
+
+    for route, reference in (
+        (report.phi_pair, pair.phi), (report.phi_lower, phi_lower), (report.phi_operators, phi_ops)
+    ):
+        assert np.abs(route - reference).max() <= 1e-13
+
+    def max_dev(a, b):
+        return float(np.linalg.norm(a - b, axis=1).max())
+
+    assert abs(report.dev_pair_lower - max_dev(pair.phi, phi_lower)) <= 1e-13
+    assert abs(report.dev_pair_operators - max_dev(pair.phi, phi_ops)) <= 1e-13
+    assert abs(report.dev_lower_operators - max_dev(phi_lower, phi_ops)) <= 1e-13
+
+
+def test_crosscheck_reports_first_non_hermitian_time(monkeypatch):
+    # H(t) = H0 + t·K with anti-Hermitian K: the relative defect 2t‖K‖/‖H(t)‖
+    # passes 1e-10 at t = 0.6, between the generator times 0.5625 and 0.625
+    h0 = np.diag([1.0, 2.0]).astype(complex)
+    k = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    k *= 1e-10 * np.sqrt(5.0) / (2.0 * np.sqrt(2.0) * 0.6)
+    ham = TaylorHamiltonian((h0, k))
+    fam = DysonFamily.constant(np.eye(2))
+    # two substeps per table chunk, so the failing time lies in a later chunk
+    monkeypatch.setattr(evolution, "TABLE_BYTES", 512)
+    with pytest.raises(NotHermitian, match=r"t = 0\.625 "):
+        crosscheck_pictures(ham, fam, np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 5), 0.125)
+
+
+DOUBLET_SCENARIOS = [
+    pytest.param(scenario_falsification, id="falsification"),
+    *(pytest.param(lambda d=d: scenario_random(d, d), id=f"random-{d}") for d in (8, 16)),
+]
+
+
+@pytest.mark.parametrize("make", DOUBLET_SCENARIOS)
+def test_stacked_doublets_equal_separate_runs_bitwise(make, monkeypatch):
+    ham, fam, phi0, _ = make()
+    grid = np.linspace(0.0, 1.0, 101)
+    calls = _counted_rk4(monkeypatch)
+    covariant, naive = evolution._propagate_doublet(ham, fam, phi0, None, grid, 1e-3, (True, False))
+    assert calls == [(4, ham.dim, 1)]
+    for stacked, alone in (
+        (covariant, propagate_pair(ham, fam, phi0, None, grid, 1e-3)),
+        (naive, propagate_naive(ham, fam, phi0, None, grid, 1e-3)),
+    ):
+        for name in ("times", "phi", "psi", "overlap", "metric_norm"):
+            assert np.array_equal(getattr(stacked, name), getattr(alone, name))
+        assert stacked.max_norm_drift == alone.max_norm_drift
+        assert stacked.max_metric_drift == alone.max_metric_drift
