@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, NotHermitian
-from .linalg import as_square_matrix, as_state
+from .linalg import adjoint, as_square_matrix, as_state, stacked_fro
 from .metric import DysonFamily
 
 #: propagated components beyond this magnitude abort the run
@@ -280,9 +280,8 @@ def _hermitian_generator(t, h) -> float:
     Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
     at the first time that is not).
     """
-    h_dag = h.conj().swapaxes(1, 2)
-    fro = lambda x: np.sqrt(np.einsum("nij,nij->n", x.view(float), x.view(float)))
-    scale, defect = fro(h), fro(h - h_dag)
+    h_dag = adjoint(h)
+    scale, defect = stacked_fro(h), stacked_fro(h - h_dag)
     if (bad := defect > 1e-10 * scale).any():
         raise NotHermitian(
             f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
@@ -425,10 +424,11 @@ def evolution_operators(
     eye = np.broadcast_to(np.eye(hamiltonian.dim, dtype=complex), (2,) + (hamiltonian.dim,) * 2)
     ops = _rk4(times, plan, eye, _taylor_fill(hamiltonian, family, (True,)))
     u_right, u_left_dag = ops[:, 0], ops[:, 1]
-    product0 = u_left_dag[0].conj().T @ u_right[0]
-    residual = np.array(
-        [np.linalg.norm(ul.conj().T @ ur - product0) for ul, ur in zip(u_left_dag, u_right)]
-    )
+    product0 = adjoint(u_left_dag[0]) @ u_right[0]
+    residual = np.concatenate([
+        stacked_fro(adjoint(u_left_dag[sl]) @ u_right[sl] - product0)
+        for sl in _map_slices(times.size, hamiltonian.dim)
+    ])
     return OperatorTrajectory(times, u_right, u_left_dag, residual, float(residual.max()))
 
 

@@ -3,9 +3,10 @@ biorthogonal eigendecomposition of diagonalizable non-normal matrices.
 
 All functions treat their array arguments as immutable values and return
 fresh arrays.  Tolerances are relative to the Frobenius norm of the input,
-with the absolute floors noted per function.  The eigendecomposition also
-takes a stack (..., d, d) of matrices; each entry of a stack gets the same
-result, bit for bit, as the matrix alone.
+with the absolute floors noted per function.  The eigendecomposition and
+``invert_stack`` take stacks (..., d, d) of matrices; each entry of a stack
+gets the same result, bit for bit, as the matrix alone.  Every inverse the
+package takes comes from ``invert_stack``, whose one SVD is also its gate.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def as_square_matrix(matrix) -> np.ndarray:
 
 
 def as_state(vector, dim: int) -> np.ndarray:
-    """Validate and return a complex length-``dim`` state vector (fresh copy)."""
+    """Validate and return a finite complex length-``dim`` state vector (fresh copy)."""
     v = np.array(vector, dtype=complex)
     if v.ndim != 1 or v.shape[0] != dim:
         raise DimensionMismatch(f"expected a length-{dim} vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("state entries must be finite")
     return v
 
 
@@ -85,22 +88,35 @@ def adjoint(matrices) -> np.ndarray:
     return np.asarray(matrices).conj().swapaxes(-1, -2)
 
 
-def invert(matrix) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Raises
-    ------
-    SingularMatrix
-        If the smallest singular value is below ``1e-12`` times the largest.
-    """
-    m = as_square_matrix(matrix)
+def invert_stack(m: np.ndarray, rtol: float = SINGULAR_RTOL):
+    """``(inverses, singular_values, singular)`` of a finite (n, d, d) stack,
+    without raising: one SVD gates it and one LU inverts it, each entry bit
+    for bit as if alone.  A matrix is singular when σ_min < ``rtol``·σ_max or
+    it is zero; it is inverted as I."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
-        raise SingularMatrix(
-            f"matrix numerically singular (sigma_min/sigma_max = "
-            f"{sv[-1] / max(sv[0], np.finfo(float).tiny):.3e})"
-        )
-    return np.linalg.inv(m)
+    singular = (sv[:, 0] == 0.0) | (sv[:, -1] < rtol * sv[:, 0])
+    if singular.any():  # np.where copies the stack, so only when it must
+        m = np.where(singular[:, None, None], np.eye(m.shape[-1]), m)
+    return np.linalg.inv(m), sv, singular
+
+
+def _ratio(sv: np.ndarray) -> str:
+    """σ_min/σ_max of one matrix's singular values, for error messages."""
+    return f"sigma_min/sigma_max = {sv[-1] / max(sv[0], np.finfo(float).tiny):.3e}"
+
+
+def inverse_with_singular_values(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``invert`` that also returns the singular values of the matrix."""
+    inverses, sv, singular = invert_stack(as_square_matrix(matrix)[None])
+    if singular[0]:
+        raise SingularMatrix(f"matrix numerically singular ({_ratio(sv[0])})")
+    return inverses[0], sv[0]
+
+
+def invert(matrix) -> np.ndarray:
+    """Inverse of a square matrix; ``SingularMatrix`` if its smallest
+    singular value is below ``1e-12`` times the largest."""
+    return inverse_with_singular_values(matrix)[0]
 
 
 def principal_sqrt(matrix) -> np.ndarray:
@@ -184,12 +200,9 @@ def decompose_stack(m: np.ndarray, tol: float) -> tuple[BiorthonormalSystem, lis
     eigvals = np.take_along_axis(eigvals, order, axis=-1)
     right = np.take_along_axis(right, order[:, None, :], axis=-1)
 
-    sv = np.linalg.svd(right, compute_uv=False)
-    singular = (sv[:, 0] == 0.0) | (sv[:, -1] < tol * sv[:, 0])
+    right_inv, sv, singular = invert_stack(right, tol)
     condition = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
-    # a singular eigenvector matrix is replaced by I so that the stack inverts
-    invertible = np.where(singular[:, None, None], np.eye(d), right)
-    left = adjoint(np.linalg.inv(invertible))
+    left = adjoint(right_inv)
     system = BiorthonormalSystem(eigvals, right, left, condition)
 
     residual = (system.biorthonormality_residual() > BIORTHO_TOL) | (
@@ -201,8 +214,7 @@ def decompose_stack(m: np.ndarray, tol: float) -> tuple[BiorthonormalSystem, lis
     for i in range(m.shape[0]):
         if singular[i]:
             failures.append(DefectiveMatrix(
-                f"eigenvector matrix numerically singular (sigma_min/sigma_max = "
-                f"{sv[i, -1] / max(sv[i, 0], np.finfo(float).tiny):.3e})"
+                f"eigenvector matrix numerically singular ({_ratio(sv[i])})"
             ))
         elif residual[i]:
             failures.append(DefectiveMatrix(

@@ -28,6 +28,7 @@ from .linalg import (
     adjoint,
     as_square_matrix,
     as_state,
+    inverse_with_singular_values,
     invert,
     norm_fro,
     principal_sqrt,
@@ -117,9 +118,9 @@ class DysonFamily:
     scalar time is a batch of one and gives the same bits as its row in an
     array call.
 
-    Use the :meth:`constant` / :meth:`exp_poly` constructors; they validate
-    their inputs (a constant map must be invertible, an exponential map
-    always is).
+    Construction validates the finite square ``matrix`` or ``generator``
+    and inverts a constant map once (``SingularMatrix`` unless it inverts;
+    an exponential map always does).
     """
 
     kind: str
@@ -129,34 +130,27 @@ class DysonFamily:
 
     @classmethod
     def constant(cls, matrix) -> "DysonFamily":
-        m = as_square_matrix(matrix)
-        invert(m)  # invertibility gate; raises SingularMatrix
-        return cls(kind="constant", matrix=m)
+        return cls(kind="constant", matrix=matrix)
 
     @classmethod
     def exp_poly(cls, generator, theta) -> "DysonFamily":
-        g = as_square_matrix(generator)
-        coeffs = tuple(float(c) for c in theta)
-        if not coeffs:
-            coeffs = (0.0,)
-        return cls(kind="exp_poly", generator=g, theta=coeffs)
+        return cls(kind="exp_poly", generator=generator, theta=theta)
 
     def __post_init__(self):
         if self.kind not in ("constant", "exp_poly"):
             raise ValueError(f"unknown Dyson family kind {self.kind!r}")
-        if self.kind == "constant" and self.matrix is None:
-            raise ValueError("constant family needs a matrix")
-        if self.kind == "exp_poly" and self.generator is None:
-            raise ValueError("exp_poly family needs a generator")
+        name = "matrix" if self.kind == "constant" else "generator"
+        if getattr(self, name) is None:
+            raise ValueError(f"{self.kind} family needs a {name}")
+        object.__setattr__(self, name, as_square_matrix(getattr(self, name)))
+        object.__setattr__(self, "theta", tuple(float(c) for c in self.theta) or (0.0,))
+        if self.kind == "constant":
+            object.__setattr__(self, "_matrix_inv", invert(self.matrix))
 
     @property
     def dim(self) -> int:
         base = self.matrix if self.kind == "constant" else self.generator
         return base.shape[0]
-
-    @cached_property
-    def _matrix_inv(self) -> np.ndarray:
-        return invert(self.matrix)
 
     @cached_property
     def _theta_rate_coeffs(self) -> tuple[float, ...]:
@@ -312,8 +306,7 @@ def hermitize(hamiltonian, omega) -> np.ndarray:
         raise DimensionMismatch(
             f"operator shape {h.shape} does not match map shape {om.shape}"
         )
-    om_inv = invert(om)
-    sv = np.linalg.svd(om, compute_uv=False)
+    om_inv, sv = inverse_with_singular_values(om)
     cond = sv[0] / sv[-1]
     if cond > COND_WARN:
         warnings.warn(
@@ -332,23 +325,23 @@ def physical_inner(a, b, theta: MetricOperator) -> complex:
     return complex(np.vdot(va, theta.matrix @ vb))
 
 
+def _overlap(vphi: np.ndarray, vpsi: np.ndarray) -> complex:
+    """⟨Ψ|Φ⟩; ``DegenerateOverlap`` when it is below 1e-12·‖Φ‖·‖Ψ‖."""
+    overlap = complex(np.vdot(vpsi, vphi))
+    if abs(overlap) <= 1e-12 * np.linalg.norm(vphi) * np.linalg.norm(vpsi):
+        raise DegenerateOverlap(f"overlap {overlap:.3e} is numerically zero")
+    return overlap
+
+
 def projector_pair(phi, psi) -> np.ndarray:
     """Rank-one projector Π = |Φ⟩⟨Ψ| / ⟨Ψ|Φ⟩ built from a state doublet.
 
     Satisfies Π² = Π and trace Π = 1; when Ψ = Θ·Φ it is Hermitian with
     respect to the Θ-weighted inner product.
     """
-    vphi = np.asarray(phi, dtype=complex)
-    vpsi = np.asarray(psi, dtype=complex)
-    if vphi.shape != vpsi.shape or vphi.ndim != 1:
-        raise DimensionMismatch(
-            f"state shapes {vphi.shape} and {vpsi.shape} do not match"
-        )
-    overlap = complex(np.vdot(vpsi, vphi))
-    floor = 1e-12 * np.linalg.norm(vphi) * np.linalg.norm(vpsi)
-    if abs(overlap) <= floor:
-        raise DegenerateOverlap(f"overlap {overlap:.3e} is numerically zero")
-    return np.outer(vphi, vpsi.conj()) / overlap
+    vphi = as_state(phi, np.size(phi))
+    vpsi = as_state(psi, vphi.shape[0])
+    return np.outer(vphi, vpsi.conj()) / _overlap(vphi, vpsi)
 
 
 def expectation(observable, phi, psi) -> complex:
@@ -359,8 +352,4 @@ def expectation(observable, phi, psi) -> complex:
     lam = as_square_matrix(observable)
     vphi = as_state(phi, lam.shape[0])
     vpsi = as_state(psi, lam.shape[0])
-    overlap = complex(np.vdot(vpsi, vphi))
-    floor = 1e-12 * np.linalg.norm(vphi) * np.linalg.norm(vpsi)
-    if abs(overlap) <= floor:
-        raise DegenerateOverlap(f"overlap {overlap:.3e} is numerically zero")
-    return complex(np.vdot(vpsi, lam @ vphi) / overlap)
+    return complex(np.vdot(vpsi, lam @ vphi) / _overlap(vphi, vpsi))

@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DimensionMismatch, ResampleExhausted
 from .evolution import TaylorHamiltonian
-from .linalg import invert
+from .linalg import invert_stack
 from .metric import DysonFamily
 
 #: default conditioning cap for random similarity transforms
@@ -80,12 +80,14 @@ def model_2x2(r: float, s: float, phi: float) -> np.ndarray:
     )
 
 
-def _random_similarity(rng, dim: int, cond_cap: float, attempts: int = 100) -> np.ndarray:
+def _random_similarity(rng, dim: int, cond_cap: float, attempts: int = 100):
+    """A complex Gaussian S with σ_max/σ_min ≤ ``cond_cap``, and S⁻¹; a draw
+    that is numerically singular is rejected whatever the cap."""
     for _ in range(attempts):
         s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_cap:
-            return s
+        (s_inv,), (sv,), (singular,) = invert_stack(s[None])
+        if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_cap and not singular:
+            return s, s_inv
     raise ResampleExhausted(
         f"no similarity transform with condition <= {cond_cap} in {attempts} draws"
     )
@@ -119,8 +121,7 @@ def sample_shared(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with both coefficients similar through one random S;
     a stationary metric exists by construction."""
     e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s = _random_similarity(rng, dim, cond_cap=100.0)
-    s_inv = np.linalg.inv(s)
+    s, s_inv = _random_similarity(rng, dim, cond_cap=100.0)
     return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
 
 
@@ -128,11 +129,9 @@ def sample_independent(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with independently drawn similarity transforms;
     generically no stationary metric exists."""
     e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s0 = _random_similarity(rng, dim, cond_cap=100.0)
-    s1 = _random_similarity(rng, dim, cond_cap=100.0)
-    h0 = (s0 * e0) @ np.linalg.inv(s0)
-    h1 = (s1 * e1) @ np.linalg.inv(s1)
-    return TaylorHamiltonian((h0, h1))
+    s0, s0_inv = _random_similarity(rng, dim, cond_cap=100.0)
+    s1, s1_inv = _random_similarity(rng, dim, cond_cap=100.0)
+    return TaylorHamiltonian(((s0 * e0) @ s0_inv, (s1 * e1) @ s1_inv))
 
 
 def sample_shared_degree2(rng, dim: int) -> TaylorHamiltonian:
@@ -163,8 +162,8 @@ def random_cryptohermitian(
     if values.shape != (dim,):
         raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {values.shape}")
     rng = np.random.default_rng(seed)
-    s = _random_similarity(rng, dim, cond_cap)
-    return (s * values) @ invert(s)
+    s, s_inv = _random_similarity(rng, dim, cond_cap)
+    return (s * values) @ s_inv
 
 
 def _random_hermitian(rng, dim: int, norm2: float) -> np.ndarray:

@@ -30,10 +30,10 @@ from .errors import (
 from .evolution import TaylorHamiltonian
 from .linalg import (
     BIORTHO_TOL,
-    SINGULAR_RTOL,
     adjoint,
     as_square_matrix,
     decompose_stack,
+    invert_stack,
     stacked_fro,
 )
 from .metric import MetricOperator, spectral_metrics
@@ -188,8 +188,7 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
     sys1, failed1 = decompose_stack(coefficients[:, 1], BIORTHO_TOL)
     a = adjoint(sys0.left_vectors) @ sys1.right_vectors
-    sv = np.linalg.svd(a, compute_uv=False)
-    singular = (sv[:, 0] == 0.0) | (sv[:, -1] < SINGULAR_RTOL * sv[:, 0])
+    a_inv, _, singular = invert_stack(a)
     outcomes = [
         f0 or f1 or c0 or c1
         or (SingularMatrix("overlap matrix between the eigenbases is singular") if sing else None)
@@ -202,7 +201,6 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
         )
     ]
     failed = np.array([o is not None for o in outcomes])
-    a_inv = np.linalg.inv(np.where(failed[:, None, None], np.eye(d), a))
     m = (a * sys1.eigenvalues.real[:, None, :]) @ a_inv
 
     scale = stacked_fro(m)

@@ -6,8 +6,10 @@ to 8, unit time windows); every tolerance is pinned here.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         )
         assert result.returncode == 0, result.stderr
         outputs.append(

@@ -142,6 +142,20 @@ def test_pair_nonfinite_state():
         propagate_pair(ham, fam, np.array([1.0, 0.0]), None, np.linspace(0, 1, 3), 1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_states_are_rejected_on_entry(bad):
+    ham, fam, _, grid = scenario_falsification()
+    state = np.array([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        propagate_pair(ham, fam, state, None, grid, 1e-2)
+    with pytest.raises(ValueError, match="finite"):
+        propagate_naive(ham, fam, [1.0, 0.0], state, grid, 1e-2)
+    with pytest.raises(ValueError, match="finite"):
+        crosscheck_pictures(ham, fam, state, grid, 1e-2)
+    with pytest.raises(ValueError, match="finite"):
+        propagate_h(lambda t: np.eye(2), state, grid, 1e-2)
+
+
 def test_propagate_h_constant_diagonal_phase():
     h = np.diag([1.0, 2.0]).astype(complex)
     phi0 = np.array([1.0, 0.0], dtype=complex)

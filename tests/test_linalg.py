@@ -1,5 +1,8 @@
 """Tests for the dense complex matrix core."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +19,14 @@ from cryptoherm import (
     norm_fro,
     principal_sqrt,
 )
-from cryptoherm.linalg import BIORTHO_TOL, decompose_stack, stacked_fro
+from cryptoherm import DysonFamily, cli, hermitize
+from cryptoherm.linalg import (
+    BIORTHO_TOL,
+    as_state,
+    decompose_stack,
+    invert_stack,
+    stacked_fro,
+)
 from cryptoherm.models import model_2x2, random_cryptohermitian
 
 
@@ -125,6 +135,14 @@ def test_invert_residual():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     npt.assert_allclose(a @ invert(a), np.eye(5), atol=1e-12)
+
+
+def test_as_state_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            as_state([bad, 1.0], 2)
+    with pytest.raises(DimensionMismatch):
+        as_state([1.0, 2.0, 3.0], 2)
 
 
 def test_decompose_rejects_non_finite_and_non_square():
@@ -247,3 +265,90 @@ def test_stacked_fro_sums_as_numpy_norm(layout):
             assert norm_fro(matrix) == np.linalg.norm(matrix)
             assert norm_fro(matrix[0]) == np.linalg.norm(matrix[0])  # a vector
         assert np.array_equal(stacked_fro(stack.reshape(2, 3, d, d)), norms.reshape(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# one SVD gates every inverse, and each matrix is factorized once
+# ---------------------------------------------------------------------------
+
+def _mixed_stack(rng, d):
+    """Regular, zero, rank-deficient and σ_min/σ_max ≈ 1e-12 matrices of dim d."""
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, _ = np.linalg.qr(gaussian(d, d))
+    v, _ = np.linalg.qr(gaussian(d, d))
+    near = [(u * np.geomspace(1.0, ratio, d)) @ v for ratio in (0.5e-12, 1e-12, 2e-12)]
+    rank_deficient = gaussian(d, d - 1) @ gaussian(d - 1, d) if d > 1 else np.zeros((1, 1))
+    return np.array(
+        [gaussian(d, d), np.zeros((d, d)), rank_deficient, *near, 1e-150 * gaussian(d, d)]
+    )
+
+
+def test_invert_stack_entries_equal_single_matrix_calls():
+    rng = np.random.default_rng(8)
+    for d in range(1, 41):
+        stack = _mixed_stack(rng, d)
+        inverses, sv, singular = invert_stack(stack)
+        assert singular[1] and singular[2]
+        for m, m_inv, s, flag in zip(stack, inverses, sv, singular):
+            assert np.array_equal(s, np.linalg.svd(m, compute_uv=False))
+            if flag:
+                assert np.array_equal(m_inv, np.eye(d))
+                with pytest.raises(SingularMatrix):
+                    invert(m)
+            else:
+                assert np.array_equal(m_inv, np.linalg.inv(m))
+                assert np.array_equal(invert(m), m_inv)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of the np.linalg.svd and np.linalg.inv calls made in the test."""
+    counts = Counter()
+    for name in ("svd", "inv"):
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_hermitize_factorizes_the_map_once(factorizations):
+    omega = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)
+    hermitize(np.diag([1.0, 2.0]), omega)
+    assert factorizations == {"svd": 1, "inv": 1}
+
+
+def test_constant_family_inverts_once(factorizations):
+    family = DysonFamily.constant(np.array([[2.0, 1.0], [0.5, 3.0]]))
+    family.omega_inv(0.0)
+    family.omega_inv(np.linspace(0.0, 1.0, 3))
+    assert factorizations == {"svd": 1, "inv": 1}
+
+
+def test_random_similarity_factorizes_each_draw_once(factorizations):
+    # at cap 10, seed 1 takes 13 draws of a dim-8 S (12 rejected)
+    random_cryptohermitian(8, np.arange(8.0), seed=1, cond_cap=10.0)
+    assert factorizations == {"svd": 13, "inv": 13}
+    factorizations.clear()
+    random_cryptohermitian(8, np.arange(8.0), seed=4, cond_cap=100.0)
+    assert factorizations == {"svd": 1, "inv": 1}
+
+
+def test_cli_hermitize_factorizes_the_map_once_per_stage(tmp_path, factorizations):
+    # the config's constant map is gated when it is parsed, then hermitize
+    # gates and inverts it once more
+    matrix = random_cryptohermitian(32, np.linspace(-3.0, 3.0, 32), seed=7)
+    omega = np.eye(32) + 0.1 * np.tri(32)
+    pairs = lambda a: np.stack([a.real, a.imag], axis=-1).tolist()
+    config = tmp_path / "hermitize.json"
+    config.write_text(json.dumps({
+        "command": "hermitize",
+        "model": {"matrix": pairs(matrix)},
+        "dyson": {"kind": "constant", "matrix": pairs(omega.astype(complex))},
+    }))
+    factorizations.clear()
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert factorizations == {"svd": 2, "inv": 2}

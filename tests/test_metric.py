@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.linalg import expm
 
 from cryptoherm import (
     DegenerateOverlap,
+    DimensionMismatch,
     DysonFamily,
     IllConditionedWarning,
     InvalidWeights,
@@ -30,7 +32,7 @@ from cryptoherm import (
     projector_pair,
 )
 from cryptoherm.errors import NumericalError
-from cryptoherm.metric import metric_operators, spectral_metrics
+from cryptoherm.metric import COND_WARN, metric_operators, spectral_metrics
 from cryptoherm.models import random_cryptohermitian, scenario_falsification, scenario_random
 
 
@@ -126,6 +128,23 @@ def test_constant_family_must_be_invertible():
         DysonFamily.constant(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("build", [DysonFamily.constant, lambda m: DysonFamily("constant", m)])
+def test_family_construction_validates_the_map(build):
+    # direct construction gates the map as the constructor does: a singular
+    # map would give metric norms of 0 that read as conserved
+    for singular in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+        with pytest.raises(SingularMatrix):
+            build(singular)
+    with pytest.raises(ValueError, match="finite"):
+        build(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        DysonFamily("exp_poly", generator=np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        DysonFamily.exp_poly(np.ones((2, 3)), (0.0, 1.0))
+    direct = DysonFamily("exp_poly", generator=[[0.0, 1.0], [0.0, 0.0]], theta=[0, 2])
+    assert direct.theta == (0.0, 2.0) and direct.generator.dtype == complex
+
+
 def test_dyson_from_metric_trivial_and_roundtrip():
     npt.assert_allclose(dyson_from_metric(MetricOperator.from_matrix(np.eye(2))), np.eye(2))
     npt.assert_allclose(
@@ -180,6 +199,29 @@ def test_hermitize_warns_on_ill_conditioned_map():
     omega = np.diag([1.0, 1e-7]).astype(complex)
     with pytest.warns(IllConditionedWarning):
         hermitize(np.eye(2, dtype=complex), omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(0.0, 14.0), seed=st.integers(0, 2**16))
+def test_hermitize_warns_or_raises_exactly_at_its_thresholds(k, seed):
+    # Ω = U·diag(1, 10⁻ᵏ)·V: cond(Ω) = 10ᵏ walks past COND_WARN (k = 6) and the
+    # singularity floor 1e-12 (k = 12); the thresholds are read from Ω's own SVD
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    omega = (u * [1.0, 10.0**-k]) @ v
+    h = np.array([[1.0, 0.5], [0.25, -1.0]], dtype=complex)
+    sv = np.linalg.svd(omega, compute_uv=False)
+    if sv[-1] < 1e-12 * sv[0]:
+        with pytest.raises(SingularMatrix):
+            hermitize(h, omega)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        image = hermitize(h, omega)
+    warned = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+    assert len(warned) == (sv[0] / sv[-1] > COND_WARN)
+    assert np.isfinite(image).all()
 
 
 def test_physical_inner_values():
@@ -254,6 +296,33 @@ def test_projector_metric_pseudo_hermiticity():
     pi = projector_pair(phi, psi)
     theta_inv = np.linalg.inv(theta.matrix)
     npt.assert_allclose(pi, theta_inv @ pi.conj().T @ theta.matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_projector_pair_rejects_non_finite_states(bad):
+    with pytest.raises(ValueError, match="finite"):
+        projector_pair([bad, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        projector_pair([1.0, 1.0], [1.0, bad])
+    with pytest.raises(DimensionMismatch):
+        projector_pair([1.0, 1.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_expectation_rejects_non_finite_states(bad):
+    with pytest.raises(ValueError, match="finite"):
+        expectation(np.eye(2), [bad, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        expectation(np.eye(2), [1.0, 1.0], [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_physical_inner_rejects_non_finite_states(bad):
+    theta = MetricOperator.from_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        physical_inner([bad, 1.0], [1.0, 1.0], theta)
+    with pytest.raises(ValueError, match="finite"):
+        physical_inner([1.0, 1.0], [1.0, bad], theta)
 
 
 def test_expectation_values():

@@ -159,8 +159,7 @@ def test_certify_shared_all_orders_compatible():
     rng = np.random.default_rng(13)
     from cryptoherm.models import _random_similarity
 
-    s = _random_similarity(rng, 4, cond_cap=100.0)
-    s_inv = np.linalg.inv(s)
+    s, s_inv = _random_similarity(rng, 4, cond_cap=100.0)
     coeffs = tuple(
         (s * np.sort(rng.uniform(-2, 2, 4))) @ s_inv for _ in range(4)
     )
