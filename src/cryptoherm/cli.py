@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .linalg import biorthogonal_decompose, norm_fro
+from .linalg import BIORTHO_TOL, biorthogonal_decompose, norm_fro
 from .metric import DysonFamily, hermitize, metric_from_spectral
 from .quasistationary import SAMPLERS, qs_certify, qs_scan, stationarity_residual
 
@@ -431,7 +431,7 @@ def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str
 # ---------------------------------------------------------------------------
 
 def _run_decompose(cfg, out):
-    system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", 1e-10))
+    system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", BIORTHO_TOL))
     payload = {
         "eigenvalues": _pairs(system.eigenvalues),
         "right_vectors": _pairs(system.right_vectors),
@@ -445,7 +445,7 @@ def _run_decompose(cfg, out):
 
 
 def _run_metric(cfg, out):
-    system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", 1e-10))
+    system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", BIORTHO_TOL))
     theta = metric_from_spectral(system, cfg.kappa)
     residual = stationarity_residual(cfg.matrix, theta.matrix)
     payload = {

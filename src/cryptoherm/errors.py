@@ -61,7 +61,8 @@ class NotHermitian(NumericalError):
 
 
 class NonFiniteState(NumericalError):
-    """Propagated state left the finite range supported by the integrator."""
+    """A propagated state, or a Dyson map Ω(t) it needs, left the finite
+    range of floating point."""
 
 
 class ExpectsRealSpectrum(NumericalError):

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     IllConditionedWarning,
     InvalidWeights,
+    NonFiniteState,
     PositivityFailure,
     checked,
 )
@@ -119,8 +120,9 @@ class DysonFamily:
     array call.
 
     Construction validates the finite square ``matrix`` or ``generator``
-    and inverts a constant map once (``SingularMatrix`` unless it inverts;
-    an exponential map always does).
+    and the finite ``theta`` coefficients, and inverts a constant map once
+    (``SingularMatrix`` unless it inverts; an exponential map always does,
+    but a map that overflows raises ``NonFiniteState`` when evaluated).
     """
 
     kind: str
@@ -143,7 +145,12 @@ class DysonFamily:
         if getattr(self, name) is None:
             raise ValueError(f"{self.kind} family needs a {name}")
         object.__setattr__(self, name, as_square_matrix(getattr(self, name)))
-        object.__setattr__(self, "theta", tuple(float(c) for c in self.theta) or (0.0,))
+        theta = tuple(float(c) for c in self.theta) or (0.0,)
+        if not np.isfinite(theta).all():
+            raise ValueError("theta coefficients must be finite")
+        object.__setattr__(self, "theta", theta)
+        # polyder of a constant θ is (0.0,), so θ′ always has a coefficient
+        object.__setattr__(self, "_theta_rate_coeffs", tuple(npoly.polyder(theta)))
         if self.kind == "constant":
             object.__setattr__(self, "_matrix_inv", invert(self.matrix))
 
@@ -151,12 +158,6 @@ class DysonFamily:
     def dim(self) -> int:
         base = self.matrix if self.kind == "constant" else self.generator
         return base.shape[0]
-
-    @cached_property
-    def _theta_rate_coeffs(self) -> tuple[float, ...]:
-        if len(self.theta) < 2:
-            return (0.0,)
-        return tuple(npoly.polyder(self.theta))
 
     def theta_at(self, t):
         """θ(t); an array of times gives an array of angles."""
@@ -185,7 +186,8 @@ class DysonFamily:
 
         Each θ·G = x·2^s·Ĝ gets its own scaling s, the smallest with
         |x|·‖Ĝ‖₁ ≤ θ₁₃; the Padé sums are elementwise per time, so an entry's
-        result does not depend on the rest of the batch.
+        result does not depend on the rest of the batch.  ``NonFiniteState``
+        names the first angle whose map overflows.
         """
         scale, norm, powers = self._powers
         y = np.ravel(theta) * scale
@@ -201,10 +203,14 @@ class DysonFamily:
         p = even + odd
         q = np.subtract(even, odd, out=even)
         r = np.linalg.solve(q, p)
-        for j in range(s.max(initial=0)):
-            squared = s > j
-            sub = r[squared]
-            r[squared] = sub @ sub
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            for j in range(s.max(initial=0)):
+                squared = s > j
+                sub = r[squared]
+                r[squared] = sub @ sub
+        if not np.isfinite(r).all():
+            bad = np.ravel(theta)[~np.isfinite(r).all(axis=(1, 2))][0]
+            raise NonFiniteState(f"exp(theta*G) is not finite at theta = {bad:.6g}")
         return r.reshape(np.shape(theta) + r.shape[1:])
 
     def omega(self, t) -> np.ndarray:

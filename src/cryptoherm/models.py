@@ -80,16 +80,16 @@ def model_2x2(r: float, s: float, phi: float) -> np.ndarray:
     )
 
 
-def _random_similarity(rng, dim: int, cond_cap: float, attempts: int = 100):
-    """A complex Gaussian S with σ_max/σ_min ≤ ``cond_cap``, and S⁻¹; a draw
-    that is numerically singular is rejected whatever the cap."""
-    for _ in range(attempts):
+def _random_similarity(rng, dim: int, cond_cap: float):
+    """A complex Gaussian S with σ_max/σ_min ≤ ``cond_cap``, and S⁻¹, from at
+    most 100 draws; a numerically singular draw is rejected whatever the cap."""
+    for _ in range(100):
         s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         (s_inv,), (sv,), (singular,) = invert_stack(s[None])
         if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_cap and not singular:
             return s, s_inv
     raise ResampleExhausted(
-        f"no similarity transform with condition <= {cond_cap} in {attempts} draws"
+        f"no similarity transform with condition <= {cond_cap} in 100 draws"
     )
 
 
@@ -97,31 +97,30 @@ def _random_similarity(rng, dim: int, cond_cap: float, attempts: int = 100):
 PLANTED_GAP = 0.1
 
 
-def _planted_top(dim: int, min_gap: float = PLANTED_GAP) -> float:
+def _planted_top(dim: int) -> float:
     """Upper end of [−2, 2] shortened by (dim − 1)·gap; ``ValueError`` unless
     some room is left, that is unless (dim − 1)·gap < 4."""
-    top = 2.0 - (dim - 1) * min_gap
+    top = 2.0 - (dim - 1) * PLANTED_GAP
     if not top > -2.0:
-        raise ValueError(f"cannot plant {dim} eigenvalues {min_gap} apart in [-2, 2]")
+        raise ValueError(f"cannot plant {dim} eigenvalues {PLANTED_GAP} apart in [-2, 2]")
     return top
 
 
-def _planted_spectrum(rng, dim: int, min_gap: float = PLANTED_GAP) -> np.ndarray:
-    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``min_gap``.
+def _planted_spectrum(rng, dim: int) -> np.ndarray:
+    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``PLANTED_GAP``.
 
     Sorted uniforms on the interval shortened by (dim − 1)·gap, plus k·gap for
     the k-th, have the law of uniform draws conditioned on the gaps, and take
     one draw.
     """
-    top = _planted_top(dim, min_gap)
-    return np.sort(rng.uniform(-2.0, top, dim)) + min_gap * np.arange(dim)
+    return np.sort(rng.uniform(-2.0, _planted_top(dim), dim)) + PLANTED_GAP * np.arange(dim)
 
 
 def sample_shared(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with both coefficients similar through one random S;
     a stationary metric exists by construction."""
     e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s, s_inv = _random_similarity(rng, dim, cond_cap=100.0)
+    s, s_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
     return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
 
 
@@ -129,8 +128,8 @@ def sample_independent(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with independently drawn similarity transforms;
     generically no stationary metric exists."""
     e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s0, s0_inv = _random_similarity(rng, dim, cond_cap=100.0)
-    s1, s1_inv = _random_similarity(rng, dim, cond_cap=100.0)
+    s0, s0_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
+    s1, s1_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
     return TaylorHamiltonian(((s0 * e0) @ s0_inv, (s1 * e1) @ s1_inv))
 
 

@@ -16,13 +16,12 @@ T·M − M†·T decides compatibility.  Weights are normalized to κ₁ = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (
     DefectiveMatrix,
-    DimensionMismatch,
     ExpectsRealSpectrum,
     SingularMatrix,
     checked,
@@ -31,7 +30,6 @@ from .evolution import TaylorHamiltonian
 from .linalg import (
     BIORTHO_TOL,
     adjoint,
-    as_square_matrix,
     decompose_stack,
     invert_stack,
     stacked_fro,
@@ -70,11 +68,11 @@ class QSCertificate:
     """
 
     status: str
-    kappa: np.ndarray | None
-    metric: MetricOperator | None
-    first_violation_order: int | None
-    residuals: tuple[float, ...]
-    detail: str
+    kappa: np.ndarray | None = None
+    metric: MetricOperator | None = None
+    first_violation_order: int | None = None
+    residuals: tuple[float, ...] = ()
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,17 +88,9 @@ class ScanStats:
     violation_orders: dict = field(default_factory=dict)
 
     def as_flat_dict(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "dim": self.dim,
-            "seed": self.seed,
-            "compatible": self.compatible,
-            "incompatible": self.incompatible,
-            "exceptional": self.exceptional,
-        }
-        for order in sorted(self.violation_orders):
-            out[f"violation_order_{order}"] = self.violation_orders[order]
-        return out
+        out = asdict(self)
+        orders = out.pop("violation_orders")
+        return out | {f"violation_order_{k}": orders[k] for k in sorted(orders)}
 
 
 def stationarity_residual(coefficient, theta_matrix):
@@ -169,10 +159,6 @@ def _solve_weights(m: np.ndarray, threshold: float):
     return kappa, None
 
 
-def _certificate(status, detail="", kappa=None, metric=None, order=None, residuals=()):
-    return QSCertificate(status, kappa, metric, order, tuple(residuals), detail)
-
-
 def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     """``qs_certify`` on every family of a stack (n, degree + 1, d, d),
     degree ≥ 1: per family its certificate or the error it raises.
@@ -213,7 +199,7 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     for i in np.flatnonzero(~failed & (pairs > 0) & (pairs < d * (d - 1))):
         kappa_i, detail = _solve_weights(m[i], threshold[i])
         if kappa_i is None:
-            outcomes[i] = _certificate("exceptional", detail)
+            outcomes[i] = QSCertificate("exceptional", detail=detail)
         else:
             kappa_c[i] = kappa_i
 
@@ -221,11 +207,10 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     min_real = kappa_c.real.min(axis=1)
     for i in range(n):
         if outcomes[i] is None and (worst_imag[i] > tol_qs or min_real[i] <= tol_qs):
-            outcomes[i] = _certificate(
-                "incompatible",
+            outcomes[i] = QSCertificate("incompatible", detail=(
                 "weight extraction produced non-real or non-positive values "
-                f"(max |Im| = {worst_imag[i]:.3e}, min Re = {min_real[i]:.3e})",
-            )
+                f"(max |Im| = {worst_imag[i]:.3e}, min Re = {min_real[i]:.3e})"
+            ))
     # Θ of the whole stack, so that each matrix keeps the memory layout of a
     # one-family call; decided rows, whose weights may be garbage, take κ = 1
     # and are not read
@@ -242,24 +227,22 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     kappa, m = kappa[rows], m[rows]
     congruence = np.abs(kappa[:, :, None] * m - adjoint(m) * kappa[:, None, :]).max(axis=(1, 2))
     for j, i in enumerate(rows):
-        r = [float(x) for x in residuals[j]]
+        r = tuple(float(x) for x in residuals[j])
         fields = dict(kappa=kappa[j], metric=outcomes[i])
-        if congruence[j] > tol_qs * scale[i] * kappa[j].max() or max(r[:2]) > tol_qs:
-            outcomes[i] = _certificate(
-                "incompatible",
-                "the linear coefficient is not quasi-Hermitian for any positive "
-                f"weight choice (congruence residual {congruence[j]:.3e})",
-                order=1, residuals=r[:2], **fields,
-            )
-            continue
         order = next((o for o in range(2, len(r)) if r[o] > tol_qs), None)
-        if order is None:
-            outcomes[i] = _certificate("compatible", residuals=r, **fields)
+        if congruence[j] > tol_qs * scale[i] * kappa[j].max() or max(r[:2]) > tol_qs:
+            outcomes[i] = QSCertificate(
+                "incompatible", first_violation_order=1, residuals=r[:2], detail=(
+                    "the linear coefficient is not quasi-Hermitian for any positive "
+                    f"weight choice (congruence residual {congruence[j]:.3e})"
+                ), **fields,
+            )
+        elif order is None:
+            outcomes[i] = QSCertificate("compatible", residuals=r, **fields)
         else:
-            outcomes[i] = _certificate(
-                "incompatible",
-                f"coefficient of order {order} breaks the stationary metric",
-                order=order, residuals=r, **fields,
+            outcomes[i] = QSCertificate(
+                "incompatible", first_violation_order=order, residuals=r,
+                detail=f"coefficient of order {order} breaks the stationary metric", **fields,
             )
     return outcomes
 
@@ -284,20 +267,15 @@ def _certify_families(families, tol_qs: float) -> list:
 
 
 def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
-    """Decide the orders 0-1 problem: one positive metric for both H₀ and H₁.
+    """Decide the orders 0-1 problem: one positive metric for both H₀ and H₁,
+    as ``qs_certify`` of the degree-1 family (H₀, H₁).
 
-    Raises ``DefectiveMatrix`` when either coefficient fails to
-    diagonalize, ``ExpectsRealSpectrum`` when a spectrum is not real to
-    tolerance, and ``SingularMatrix`` when the overlap matrix between the
-    two eigenbases degenerates.
+    Raises ``DimensionMismatch`` when the shapes differ, ``DefectiveMatrix``
+    when either coefficient fails to diagonalize, ``ExpectsRealSpectrum``
+    when a spectrum is not real to tolerance, and ``SingularMatrix`` when
+    the overlap matrix between the two eigenbases degenerates.
     """
-    h0 = as_square_matrix(h0)
-    h1 = as_square_matrix(h1)
-    if h0.shape != h1.shape:
-        raise DimensionMismatch(
-            f"coefficient shapes {h0.shape} and {h1.shape} do not match"
-        )
-    return checked(_certify_stack(np.stack([h0, h1])[None], tol_qs)[0])
+    return qs_certify(TaylorHamiltonian((h0, h1)), tol_qs)
 
 
 def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:

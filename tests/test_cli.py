@@ -176,6 +176,16 @@ def test_exit_codes(tmp_path):
     assert main(["--config", str(missing), "--out", str(tmp_path / "d"), "--quiet"]) == 2
 
 
+def test_overflowing_dyson_map_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = dict(EVOLVE_CFG, psi0=EVOLVE_CFG["phi0"], dyson={
+        "kind": "exp_poly", "generator": [[1, 0.5], [0.5, -1]], "theta": [1000],
+    })
+    path = _write(tmp_path, "overflow.json", cfg)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("NonFiniteState: ")
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_metric_command(tmp_path):
     cfg_path = _write(
         tmp_path,

@@ -31,7 +31,7 @@ from cryptoherm import (
     physical_inner,
     projector_pair,
 )
-from cryptoherm.errors import NumericalError
+from cryptoherm.errors import NonFiniteState, NumericalError
 from cryptoherm.metric import COND_WARN, metric_operators, spectral_metrics
 from cryptoherm.models import random_cryptohermitian, scenario_falsification, scenario_random
 
@@ -143,6 +143,20 @@ def test_family_construction_validates_the_map(build):
         DysonFamily.exp_poly(np.ones((2, 3)), (0.0, 1.0))
     direct = DysonFamily("exp_poly", generator=[[0.0, 1.0], [0.0, 0.0]], theta=[0, 2])
     assert direct.theta == (0.0, 2.0) and direct.generator.dtype == complex
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DysonFamily.exp_poly(np.eye(2), (0.0, bad))
+
+
+def test_overflowing_map_raises_naming_its_angle():
+    # G has eigenvalues ±√1.25, so exp(θ·G) overflows well before θ = 1000;
+    # its NaN table used to come out as a NaN metric-norm drift
+    fam = DysonFamily.exp_poly(np.array([[1.0, 0.5], [0.5, -1.0]]), (0.0, 1.0))
+    with pytest.raises(NonFiniteState, match="theta = 1000"):
+        fam.omega(np.array([0.0, 1.0, 1000.0, 2000.0]))
+    with pytest.raises(NonFiniteState, match="theta = -1000"):
+        fam.omega_inv(1000.0)
+    assert np.isfinite(fam.omega(np.array([0.0, 1.0, 100.0]))).all()
 
 
 def test_dyson_from_metric_trivial_and_roundtrip():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from cryptoherm import (
     DefectiveMatrix,
+    DimensionMismatch,
     ExpectsRealSpectrum,
+    QSCertificate,
     ScanStats,
     SingularMatrix,
     TaylorHamiltonian,
@@ -25,8 +27,9 @@ from cryptoherm import (
     stationarity_residual,
 )
 from cryptoherm import quasistationary
-from cryptoherm.linalg import principal_sqrt
-from cryptoherm.models import _planted_spectrum
+from cryptoherm.errors import NumericalError
+from cryptoherm.linalg import BIORTHO_TOL, norm_fro, principal_sqrt
+from cryptoherm.models import _planted_spectrum, model_2x2
 from cryptoherm.quasistationary import MAX_TRIALS, _certify_families, _solve_weights
 
 
@@ -177,6 +180,54 @@ def test_complex_spectrum_rejected():
         qs_solve(np.diag([1.0, 2.0]).astype(complex), rotation)
 
 
+def test_qs_solve_is_qs_certify_of_the_linear_family():
+    independent = sample_independent(np.random.default_rng(2), 4)
+    for h0, h1 in (_metric_compatible_pair(2, 3)[:2], independent.coefficients):
+        _same_certificate(qs_solve(h0, h1), qs_certify(TaylorHamiltonian((h0, h1))))
+    with pytest.raises(DimensionMismatch):
+        qs_solve(np.eye(2), np.eye(3))
+
+
+def test_certificate_fields_default_to_undecided():
+    cert = QSCertificate("exceptional")
+    assert (cert.kappa, cert.metric, cert.first_violation_order) == (None, None, None)
+    assert cert.residuals == () and cert.detail == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(0.5, 2.0),
+    phi=st.floats(0.2, 1.4),
+    phi_sign=st.sampled_from((-1.0, 1.0)),
+    log_eps=st.floats(-14.0, -1.0),
+    side=st.sampled_from((-1.0, 1.0)),
+)
+def test_near_the_exceptional_point_results_are_typed_or_within_bounds(
+    r, phi, phi_sign, log_eps, side
+):
+    # s = r·|sin φ|·(1 ± ε): at ε = 0 the eigenvectors of model_2x2 coalesce,
+    # and below it (side −1) its spectrum is complex
+    phi *= phi_sign
+    h = model_2x2(r, r * abs(np.sin(phi)) * (1.0 + side * 10.0**log_eps), phi)
+    try:
+        system = biorthogonal_decompose(h)
+    except DefectiveMatrix:
+        pass
+    else:
+        assert system.biorthonormality_residual() <= BIORTHO_TOL
+        assert system.completeness_residual() <= BIORTHO_TOL
+        assert norm_fro(system.reconstruct() - h) <= BIORTHO_TOL * max(norm_fro(h), 1.0)
+    # the real side may certify, or fail on the ill-conditioned metric
+    expected = (ExpectsRealSpectrum, DefectiveMatrix) if side < 0 else NumericalError
+    try:
+        cert = qs_solve(h, np.diag([1.0, 2.0]))
+    except expected:
+        return
+    assert side > 0
+    for value in (cert.kappa, cert.residuals, cert.metric and cert.metric.matrix):
+        assert value is None or np.isfinite(value).all()
+
+
 def test_solve_weights_block_structure():
     # block-diagonal condition matrix: each block fixes its internal ratios,
     # blocks stay decoupled, component roots are seeded with weight one
@@ -212,6 +263,13 @@ def test_scan_counts_and_determinism():
     assert single.compatible == 1
     flat = single.as_flat_dict()
     assert flat["trials"] == 1 and flat["compatible"] == 1
+    # the count fields in declaration order, then the orders sorted as integers
+    stats = ScanStats(9, 4, 0, 1, 8, 0, violation_orders={10: 2, 2: 5, 3: 1})
+    assert list(stats.as_flat_dict().items()) == [
+        ("trials", 9), ("dim", 4), ("seed", 0), ("compatible", 1), ("incompatible", 8),
+        ("exceptional", 0), ("violation_order_2", 5), ("violation_order_3", 1),
+        ("violation_order_10", 2),
+    ]
 
 
 def test_scan_independent_generically_incompatible():
