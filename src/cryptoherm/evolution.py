@@ -14,10 +14,14 @@ whenever the hermitized image h(t) is Hermitian, while the naive rule does
 not.  Trajectories therefore carry both diagnostics.
 
 One fixed-step 4th-order Runge-Kutta kernel steps every propagator's stacked
-state with one batched product per stage, against a table of the generators
-at each substep's start, midpoint and end filled TABLE_BYTES at a time, so
-memory stays flat in the run length.  For a matrix polynomial a chunk is one
-GEMM of monomial weights against the stacked coefficients, plus θ′(t)·G.
+state against a table of the generators at each substep's start, midpoint
+and end, filled TABLE_BYTES at a time, so memory stays flat in the run
+length.  The table holds (h/2)·A rather than A, so a stage is one batched
+product and one add.  A state passes the finite-range check in one call when
+‖y‖₂ ≤ STATE_CAP; only past that does max|y| ≤ STATE_CAP decide.  For a
+matrix polynomial a chunk is one real GEMM of the scaled monomial weights
+against the float view of the stacked coefficients, then one ×(−i) pass,
+plus θ′(t)·G as one outer product, with θ′ weighed from the same powers of t.
 A picture comparison is one run of that kernel: the cross-check stacks the
 covariant [U_R | Φ] and the lower-case [· | φ], and the covariant and naive
 doublets of the falsification demo share one stack as well.
@@ -180,9 +184,15 @@ def _substep_plan(grid, step: float):
 def _rk4(times, plan, y0, fill):
     """RK4 for ẏ[s] = A[s](t)·y[s] on a stacked state ``y0`` of shape (S, d, k).
 
-    ``fill(t, out)`` writes A[s](t[i]) into ``out[s, i]``.  Returns the grid
-    samples, shape (len(times), S, d, k); the running state lives in its next
-    sample, so the work space is the table and three states.
+    ``fill(t, scale, out)`` writes scale[i]·A[s](t[i]) into ``out[s, i]``.
+    The table holds (h/2)·A: with bᵢ = (h/2)·kᵢ a stage is one product and
+    one add, and y gains (b1 + 2·b2 + 2·b3 + b4)/3.  A start slot is the
+    previous substep's end, scaled for its h, so the first product is
+    rescaled where h changes; every entry stays independent of the chunking.
+    Returns the grid samples, shape (len(times), S, d, k); the running state
+    lives in its next sample, so the work space is the table and three
+    states.  ``NonFiniteState`` unless max|y| ≤ STATE_CAP after each substep,
+    decided in one call while ‖y‖₂ ≤ STATE_CAP.
     """
     # step sizes, and the generator times: t₀, then each substep's midpoint
     # (t0 + j·h) + h/2 and end t0 + (j + 1)·h, an interval ending on its grid point
@@ -197,11 +207,13 @@ def _rk4(times, plan, y0, fill):
     chunk = min(n, max(1, TABLE_BYTES // (2 * stack * dim * dim * 16)))
     table = np.empty((stack, 2 * chunk + 1, dim, dim), dtype=complex)
     slots = [table[:, j] for j in range(2 * chunk + 1)]
-    fill(tt[:1], table[:, 2 * chunk :])
+    # the h that the start slot is scaled for (0 on a one-point grid: no substep)
+    (h_start,) = np.resize(h, 1).tolist()
+    fill(tt[:1], np.array([0.5 * h_start]), table[:, 2 * chunk :])
     samples = np.empty((times.size,) + y0.shape, dtype=complex)
     samples[0] = y0
     acc, k, tmp = (np.empty(y0.shape, dtype=complex) for _ in range(3))
-    i, j = 0, 2 * chunk
+    i, j, cap2 = 0, 2 * chunk, STATE_CAP**2
     for seg, nsub in enumerate(plan):
         y = samples[seg + 1]
         y[...] = samples[seg]
@@ -211,39 +223,41 @@ def _rk4(times, plan, y0, fill):
                 for entry in table:
                     entry[0] = entry[j]
                 c = min(chunk, n - i)
-                fill(tt[2 * i + 1 : 2 * (i + c) + 1], table[:, 1 : 2 * c + 1])
+                scale = np.repeat(0.5 * h[i : i + c], 2)  # a midpoint and an end per substep
+                fill(tt[2 * i + 1 : 2 * (i + c) + 1], scale, table[:, 1 : 2 * c + 1])
                 j = 0
-            # acc sums k1 + 2·k2 + 2·k3 + k4; tmp is y plus the scaled last k
+            # bᵢ = (h/2)·kᵢ: acc sums b1 + 2·b2 + 2·b3 + b4, and tmp is y + b1,
+            # y + b2, then y + 2·b3; the start slot is scaled for the last h
             np.matmul(slots[j], y, out=acc)
-            np.multiply(acc, 0.5 * hi, out=tmp)
-            tmp += y
+            if hi != h_start:
+                acc *= hi / h_start
+            np.add(y, acc, out=tmp)
             np.matmul(slots[j + 1], tmp, out=k)
-            np.multiply(k, 0.5 * hi, out=tmp)
-            tmp += y
+            np.add(y, k, out=tmp)
             k *= 2.0
             acc += k
             np.matmul(slots[j + 1], tmp, out=k)
-            np.multiply(k, hi, out=tmp)
-            tmp += y
             k *= 2.0
+            np.add(y, k, out=tmp)
             acc += k
             np.matmul(slots[j + 2], tmp, out=k)
             acc += k
-            acc *= hi / 6.0
+            acc /= 3.0
             y += acc
-            i, j = i + 1, j + 2
-            if not np.abs(y).max() <= STATE_CAP:
+            i, j, h_start = i + 1, j + 2, hi
+            if not (np.vdot(y, y).real <= cap2 or np.abs(y).max() <= STATE_CAP):
                 raise NonFiniteState(
                     f"propagated state left the finite range at t = {float(tt[2 * i])!r}"
                 )
     return samples
 
 
-def _taylor_table(hamiltonian: TaylorHamiltonian, t, out, scale=1.0):
-    """Write scale·H(t[i]) into ``out[i]``: one GEMM of the weights scale·tᵏ
-    against the stacked coefficients."""
+def _taylor_table(hamiltonian: TaylorHamiltonian, weights, out):
+    """Write Σₖ weights[i, k]·C_k into ``out[i]``: one real GEMM of the
+    weights against the float view of the stacked coefficients."""
     rows = hamiltonian._rows
-    np.matmul(scale * t[:, None] ** np.arange(rows.shape[0]), rows, out=out.reshape(t.size, -1))
+    flat = out.view(float).reshape(len(weights), -1)
+    np.matmul(weights[:, : rows.shape[0]], rows.view(float), out=flat)
 
 
 def _map_slices(n: int, dim: int):
@@ -255,40 +269,50 @@ def _map_slices(n: int, dim: int):
 
 def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connections):
     """Table filler for the ket generator A = −iH(t) − θ′(t)·G and the bra −A†
-    of each flag in ``connections``, in entries 2f and 2f + 1; without the
-    flag, or for a constant family, θ′·G is dropped."""
+    of each flag in ``connections``, in entries 2f and 2f + 1, each times its
+    time's scale; without the flag, or for a constant family, θ′·G is
+    dropped.  One array of scaled powers tᵏ weighs the coefficients of both
+    H and θ′."""
+    rate = np.array(family._theta_rate_coeffs)
+    degrees = np.arange(max(len(hamiltonian.coefficients), rate.size))
+    drift = family.kind != "constant" and any(connections)
+    g = family.generator.reshape(1, -1) if drift else None
 
-    def fill(t, out):
+    def fill(t, scale, out):
+        weights = t[:, None] ** degrees
+        weights *= scale[:, None]
+        if drift:
+            rates = (weights[:, : rate.size] @ rate).astype(complex)[:, None]
         for ket, bra, connection in zip(out[::2], out[1::2], connections):
-            _taylor_table(hamiltonian, t, ket, -1j)
-            if connection and family.kind != "constant":
-                rate = family.theta_rate(t).astype(complex)
-                np.multiply(rate[:, None, None], family.generator, out=bra)
+            _taylor_table(hamiltonian, weights, ket)
+            ket *= -1j
+            if connection and drift:
+                np.matmul(rates, g, out=bra.reshape(t.size, -1))
                 ket -= bra
+            # −A† = −conj(A)ᵀ: the transpose with its real part negated
             np.copyto(bra, ket.swapaxes(1, 2))
-            np.conjugate(bra, out=bra)
-            np.negative(bra, out=bra)
+            np.negative(bra.real, out=bra.real)
 
     return fill
 
 
-def _hermitian_generator(t, h) -> float:
+def _hermitian_generator(t, h, scale) -> float:
     """Turn the samples ``h[i]`` of a Hermitian generator at times ``t[i]``
-    into −i·sym(h[i]) in place; returns the worst relative anti-Hermitian
-    defect that was symmetrized away.
+    into −i·scale[i]·sym(h[i]) in place; returns the worst relative
+    anti-Hermitian defect that was symmetrized away.
 
     Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
     at the first time that is not).
     """
     h_dag = adjoint(h)
-    scale, defect = stacked_fro(h), stacked_fro(h - h_dag)
-    if (bad := defect > 1e-10 * scale).any():
+    norm, defect = stacked_fro(h), stacked_fro(h - h_dag)
+    if (bad := defect > 1e-10 * norm).any():
         raise NotHermitian(
             f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
         )
     h += h_dag
-    h *= -0.5j
-    rel = defect[scale > 0.0] / scale[scale > 0.0]
+    h *= (-0.5j * scale)[:, None, None]
+    rel = defect[norm > 0.0] / norm[norm > 0.0]
     return float(rel.max(initial=0.0))
 
 
@@ -395,12 +419,12 @@ def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
 
     worst_defect = 0.0
 
-    def fill(t, out):
+    def fill(t, scale, out):
         nonlocal worst_defect
-        (h,) = out  # the samples go straight into the table, then become −i·sym(h)
+        (h,) = out  # the samples go straight into the table, then become −i·scale·sym(h)
         for i, s in enumerate(t.tolist()):
             h[i] = first.pop() if first else as_square_matrix(h_of_t(s))
-        worst_defect = max(worst_defect, _hermitian_generator(t, h))
+        worst_defect = max(worst_defect, _hermitian_generator(t, h, scale))
 
     states = _rk4(times, plan, phi0[None, :, None], fill)[:, 0, :, 0]
     norms = np.real(np.sum(states.conj() * states, axis=1))
@@ -454,14 +478,15 @@ def crosscheck_pictures(
     times, plan = _substep_plan(grid, step)
 
     covariant = _taylor_fill(hamiltonian, family, (True,))
+    degrees = np.arange(len(hamiltonian.coefficients))
 
-    def fill(t, out):
-        covariant(t, out)  # A into entry 0; the samples overwrite its −A† in entry 1
+    def fill(t, scale, out):
+        covariant(t, scale, out)  # A into entry 0; the samples overwrite its −A† in entry 1
         h = out[1]
         for sl in _map_slices(t.size, dim):
-            _taylor_table(hamiltonian, t[sl], h[sl])
+            _taylor_table(hamiltonian, t[sl, None] ** degrees, h[sl])
             h[sl] = family.omega(t[sl]) @ h[sl] @ family.omega_inv(t[sl])
-        _hermitian_generator(t, h)
+        _hermitian_generator(t, h, scale)
 
     y0 = np.empty((2, dim, dim + 1), dtype=complex)
     y0[:, :, :dim] = np.eye(dim)

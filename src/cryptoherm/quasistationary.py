@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DefectiveMatrix,
     ExpectsRealSpectrum,
+    PositivityFailure,
     SingularMatrix,
     checked,
 )
@@ -303,12 +304,13 @@ def qs_scan(
     of :data:`SAMPLERS`).  Trial i draws from the i-th child of
     ``SeedSequence(seed)``, so trials are independent within a scan and
     across seeds, and the whole scan is deterministic given the seed.
-    Decomposition failures and singular overlaps count as exceptional; any
-    other error ``qs_certify`` raises for a trial is raised.  Trials are
-    sampled until their coefficients fill ``SCAN_BYTES`` and then certified
-    as one stack, with the counts and errors of certifying them one by one
-    (a sampler error surfaces after the errors of the trials drawn before
-    it); ``trials`` above ``MAX_TRIALS``
+    Decomposition failures, singular overlaps, non-real spectra and metric
+    candidates that are not positive definite (as near an exceptional point)
+    count as exceptional; any other error ``qs_certify`` raises for a trial
+    is raised.  Trials are sampled until their coefficients fill
+    ``SCAN_BYTES`` and then certified as one stack, with the counts and
+    errors of certifying them one by one (a sampler error surfaces after the
+    errors of the trials drawn before it); ``trials`` above ``MAX_TRIALS``
     raise ``ValueError`` before any sampling.  The built-in samplers plant
     spectra 0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40,
     where no such spectrum exists.
@@ -324,7 +326,9 @@ def qs_scan(
 
     def count(families):
         for outcome in _certify_families(families, tol_qs):
-            if isinstance(outcome, (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum)):
+            if isinstance(
+                outcome, (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum, PositivityFailure)
+            ):
                 counts["exceptional"] += 1
                 continue
             cert = checked(outcome)

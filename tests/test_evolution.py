@@ -135,11 +135,17 @@ def test_pair_step_validation():
 
 def test_pair_nonfinite_state():
     # purely anti-Hermitian Hamiltonian with strong gain: exp(50 t) blows
-    # past the cap before t = 1
+    # past the cap before t = 1.  Both components of φ grow as g^m after m
+    # substeps, g the RK4 factor: past STATE_CAP first at m = 553, while the
+    # 2-norm √2·g^m passes it some substeps earlier
     ham = TaylorHamiltonian((np.diag([50.0j, 50.0j]),))
     fam = DysonFamily.constant(np.eye(2))
-    with pytest.raises(NonFiniteState):
-        propagate_pair(ham, fam, np.array([1.0, 0.0]), None, np.linspace(0, 1, 3), 1e-3)
+    z = 50.0 * 1e-3
+    g = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    first = next(m for m in range(1, 1001) if g**m > evolution.STATE_CAP)
+    assert first == 553 and np.sqrt(2.0) * g ** (first - 2) > evolution.STATE_CAP
+    with pytest.raises(NonFiniteState, match=r"t = 0\.553"):
+        propagate_pair(ham, fam, np.array([1.0, 1.0]), None, np.linspace(0, 1, 3), 1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -349,10 +355,13 @@ EQUIVALENCE_SCENARIOS = [
     ),
 ]
 
-# (grid, step): ten substeps per interval, and one
+# (grid, step): ten substeps per interval, one, and 2, 4, 1 and 13 on
+# intervals whose h differ by up to 4e-10 relative, so that the start slot,
+# scaled for the previous substep's h, must be rescaled to match the loop
 EQUIVALENCE_GRIDS = [
     pytest.param(None, 1e-2, id="several-substeps"),
     pytest.param(np.linspace(0.0, 1.0, 101), 1e-2, id="one-substep"),
+    pytest.param(np.array([0.0, 0.1, 0.3 + 2e-11, 0.35, 1.0]), 0.05, id="unequal-intervals"),
 ]
 
 
@@ -392,6 +401,65 @@ def test_kernel_matches_reference_loop(make, grid, step, table_bytes, monkeypatc
     lower = propagate_h(h_of_t, om0 @ phi0, grid, step)
     (states,) = _reference_integrate(h_rhs, grid, step, [om0 @ phi0], [False])
     assert np.abs(lower.states - states).max() <= 1e-13
+
+
+FILL_SCENARIOS = [
+    pytest.param(scenario_falsification, id="falsification"),
+    pytest.param(lambda: scenario_random(4, 1), id="random-4"),
+    pytest.param(lambda: scenario_random(16, 2), id="random-16"),
+]
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["exp_poly", "constant"])
+@pytest.mark.parametrize("make", FILL_SCENARIOS)
+def test_taylor_fill_writes_the_scaled_generators(make, constant):
+    ham, fam, _, _ = make()
+    if constant:
+        fam = DysonFamily.constant(fam.omega(0.4))
+    rng = np.random.default_rng(7)
+    t, scale = rng.uniform(0.0, 1.0, 9), rng.uniform(1e-4, 1.0, 9)
+    out = np.empty((4, t.size, ham.dim, ham.dim), dtype=complex)
+    evolution._taylor_fill(ham, fam, (True, False))(t, scale, out)
+    for i, (ti, si) in enumerate(zip(t, scale)):
+        naive = -1j * ham.evaluate(ti)
+        for entry, a in ((0, naive - fam.connection(ti)), (2, naive)):
+            for got, want in ((out[entry, i], si * a), (out[entry + 1, i], -si * a.conj().T)):
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_state_cap_bounds_each_component_not_the_norm():
+    # H = 0: the stacked state [φ | ψ] holds still at max|y| = 0.9·STATE_CAP,
+    # twice STATE_CAP in 2-norm
+    ham = TaylorHamiltonian((np.zeros((2, 2), dtype=complex),))
+    fam = DysonFamily.constant(np.eye(2))
+    big = np.full(2, 0.9 * evolution.STATE_CAP)
+    traj = propagate_pair(ham, fam, big, big, GRID, 1e-2)
+    assert np.array_equal(traj.phi, np.broadcast_to(big, traj.phi.shape))
+
+
+def test_one_point_grid_returns_the_initial_sample():
+    ham, fam, phi0, _ = scenario_random(4, 1)
+    grid = [0.3]
+    om0 = fam.omega(0.3)
+    for propagate in (propagate_pair, propagate_naive):
+        traj = propagate(ham, fam, phi0, None, grid, 1e-3)
+        npt.assert_array_equal(traj.times, grid)
+        npt.assert_array_equal(traj.phi, [phi0])
+        npt.assert_array_equal(traj.psi, [om0.conj().T @ (om0 @ phi0)])
+        assert traj.max_norm_drift == traj.max_metric_drift == 0.0
+    ops = evolution_operators(ham, fam, grid, 1e-3)
+    npt.assert_array_equal(ops.u_right, [np.eye(4)])
+    npt.assert_array_equal(ops.u_left_dag, [np.eye(4)])
+    assert ops.max_product_drift == 0.0
+    report = crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
+    npt.assert_array_equal(report.phi_pair, [phi0])
+    npt.assert_array_equal(report.phi_operators, [phi0])
+    assert report.max_pairwise_deviation() <= 1e-15
+    lower = propagate_h(lambda t: np.diag([1.0, 2.0]), [1.0, 0.0], grid, 1e-3)
+    npt.assert_array_equal(lower.states, [[1.0, 0.0]])
+    assert lower.max_norm_drift == 0.0
+    with pytest.raises(NotHermitian, match=r"t = 0\.3 "):
+        propagate_h(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], grid, 1e-3)
 
 
 def test_propagate_h_samples_each_generator_time_once():

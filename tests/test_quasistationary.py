@@ -12,6 +12,7 @@ from cryptoherm import (
     DefectiveMatrix,
     DimensionMismatch,
     ExpectsRealSpectrum,
+    PositivityFailure,
     QSCertificate,
     ScanStats,
     SingularMatrix,
@@ -228,6 +229,18 @@ def test_near_the_exceptional_point_results_are_typed_or_within_bounds(
         assert value is None or np.isfinite(value).all()
 
 
+def test_scan_counts_a_non_positive_metric_near_the_exceptional_point_as_exceptional():
+    # a real-spectrum draw just above the exceptional point of model_2x2,
+    # whose metric candidate is not positive definite
+    r, phi, eps = 0.5609263428091178, -0.43283294588095184, 1.2983937664646351e-12
+    h = model_2x2(r, r * abs(np.sin(phi)) * (1.0 + eps), phi)
+    family = TaylorHamiltonian((h, np.diag([1.0, 2.0]).astype(complex)))
+    with pytest.raises(PositivityFailure):
+        qs_certify(family)
+    stats = qs_scan(lambda rng, dim: family, 3, 2, 0)
+    assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 0, 3)
+
+
 def test_solve_weights_block_structure():
     # block-diagonal condition matrix: each block fixes its internal ratios,
     # blocks stay decoupled, component roots are seeded with weight one
@@ -354,7 +367,7 @@ def _reference_scan(sampler, trials, dim, seed, tol_qs=1e-8):
     for child in np.random.SeedSequence(seed).spawn(trials):
         try:
             cert = qs_certify(sampler(np.random.default_rng(child), dim), tol_qs)
-        except (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum):
+        except (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum, PositivityFailure):
             counts["exceptional"] += 1
             continue
         counts[cert.status] += 1
