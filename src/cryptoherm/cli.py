@@ -459,7 +459,7 @@ def _run_metric(cfg, out):
 
 
 def _run_hermitize(cfg, out):
-    h = hermitize(cfg.matrix, cfg.dyson.omega(cfg.t_eval))
+    h = hermitize(cfg.matrix, cfg.dyson, cfg.t_eval)
     residual = norm_fro(h - h.conj().T) / max(norm_fro(h), np.finfo(float).tiny)
     payload = {
         "h": _pairs(h),
@@ -612,7 +612,7 @@ def run(cfg: RunConfig, out_dir, seed_override=None, quiet=False) -> list[Path]:
     return paths
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryptoherm",
         description="Finite-dimensional quantum dynamics with time-dependent metrics.",
@@ -621,9 +621,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="./out", help="output directory (default ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    args = parser.parse_args(argv)
+    return parser
+
+
+#: built once per process: building the parser costs several times what
+#: parsing with it does, and each parse starts from a fresh namespace
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.seed is not None and args.seed < 0:
-        parser.error("--seed must be an integer >= 0")
+        _PARSER.error("--seed must be an integer >= 0")
 
     try:
         text = Path(args.config).read_text()

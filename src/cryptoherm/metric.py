@@ -30,7 +30,6 @@ from .linalg import (
     as_square_matrix,
     as_state,
     inverse_with_singular_values,
-    invert,
     norm_fro,
     principal_sqrt,
     stacked_fro,
@@ -152,7 +151,9 @@ class DysonFamily:
         # polyder of a constant θ is (0.0,), so θ′ always has a coefficient
         object.__setattr__(self, "_theta_rate_coeffs", tuple(npoly.polyder(theta)))
         if self.kind == "constant":
-            object.__setattr__(self, "_matrix_inv", invert(self.matrix))
+            inverse, sv = inverse_with_singular_values(self.matrix)
+            object.__setattr__(self, "_matrix_inv", inverse)
+            object.__setattr__(self, "_matrix_sv", sv)
 
     @property
     def dim(self) -> int:
@@ -297,22 +298,27 @@ def dyson_from_metric(theta: MetricOperator, unitary=None) -> np.ndarray:
     return u @ root
 
 
-def hermitize(hamiltonian, omega) -> np.ndarray:
+def hermitize(hamiltonian, omega, t: float = 0.0) -> np.ndarray:
     """Similarity transform h = Ω·H·Ω⁻¹.
 
-    The result is Hermitian (up to conditioning) exactly when H is
-    quasi-Hermitian with respect to Θ = Ω†Ω, and is always isospectral with
-    H.  When cond(Ω) exceeds ``COND_WARN`` an ``IllConditionedWarning`` is
-    emitted because the Hermiticity residual scales with the condition
-    number.
+    ``omega`` is a map, or a ``DysonFamily`` taken at time ``t``; a constant
+    family brings the inverse and singular values it computed when it was
+    built, so its map is not factorized again.  The result is Hermitian (up
+    to conditioning) exactly when H is quasi-Hermitian with respect to
+    Θ = Ω†Ω, and is always isospectral with H.  When cond(Ω) exceeds
+    ``COND_WARN`` an ``IllConditionedWarning`` is emitted because the
+    Hermiticity residual scales with the condition number.
     """
     h = as_square_matrix(hamiltonian)
-    om = as_square_matrix(omega)
+    if isinstance(omega, DysonFamily) and omega.kind == "constant":
+        om, om_inv, sv = omega.matrix, omega._matrix_inv, omega._matrix_sv
+    else:
+        om = as_square_matrix(omega.omega(t) if isinstance(omega, DysonFamily) else omega)
+        om_inv, sv = inverse_with_singular_values(om)
     if h.shape != om.shape:
         raise DimensionMismatch(
             f"operator shape {h.shape} does not match map shape {om.shape}"
         )
-    om_inv, sv = inverse_with_singular_values(om)
     cond = sv[0] / sv[-1]
     if cond > COND_WARN:
         warnings.warn(

@@ -80,13 +80,35 @@ def model_2x2(r: float, s: float, phi: float) -> np.ndarray:
     )
 
 
-def _random_similarity(rng, dim: int, cond_cap: float):
-    """A complex Gaussian S with σ_max/σ_min ≤ ``cond_cap``, and S⁻¹, from at
-    most 100 draws; a numerically singular draw is rejected whatever the cap."""
+def _gaussians(rngs, dim: int) -> np.ndarray:
+    """One complex Gaussian d×d matrix from each generator, a stack (n, d, d):
+    the real part, then the imaginary part, in one ``standard_normal`` call."""
+    z = np.array([rng.standard_normal((2, dim, dim)) for rng in rngs])
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _random_similarities(rngs, dim: int, cond_cap: float):
+    """Per generator of ``rngs`` a complex Gaussian S with σ_max/σ_min ≤
+    ``cond_cap``, and S⁻¹, as two stacks (n, d, d).
+
+    The draws go in rounds: every generator still without an S draws one
+    candidate, and one ``invert_stack`` gates the whole round.  A rejected
+    generator draws again from its own stream, so each generator draws what
+    it would draw alone.  A numerically singular draw is rejected whatever
+    the cap, and a generator rejected 100 times raises ``ResampleExhausted``.
+    """
+    s = np.empty((len(rngs), dim, dim), dtype=complex)
+    s_inv = np.empty_like(s)
+    pending = np.arange(len(rngs))
     for _ in range(100):
-        s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        (s_inv,), (sv,), (singular,) = invert_stack(s[None])
-        if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_cap and not singular:
+        draws = _gaussians([rngs[i] for i in pending], dim)
+        inverses, sv, singular = invert_stack(draws)
+        with np.errstate(divide="ignore", invalid="ignore"):  # singular draws
+            accepted = ~singular & (sv[:, 0] / sv[:, -1] <= cond_cap)
+        s[pending[accepted]] = draws[accepted]
+        s_inv[pending[accepted]] = inverses[accepted]
+        pending = pending[~accepted]
+        if not pending.size:
             return s, s_inv
     raise ResampleExhausted(
         f"no similarity transform with condition <= {cond_cap} in 100 draws"
@@ -106,39 +128,64 @@ def _planted_top(dim: int) -> float:
     return top
 
 
-def _planted_spectrum(rng, dim: int) -> np.ndarray:
-    """Sorted uniform eigenvalues in [−2, 2] with every gap at least ``PLANTED_GAP``.
+def _planted_spectra(rngs, dim: int, count: int) -> np.ndarray:
+    """``count`` spectra from each generator, shape (n, count, d): sorted
+    uniform eigenvalues in [−2, 2] with every gap at least ``PLANTED_GAP``.
 
     Sorted uniforms on the interval shortened by (dim − 1)·gap, plus k·gap for
-    the k-th, have the law of uniform draws conditioned on the gaps, and take
-    one draw.
+    the k-th, have the law of uniform draws conditioned on the gaps; each
+    generator makes one ``uniform`` call for its spectra.
     """
-    return np.sort(rng.uniform(-2.0, _planted_top(dim), dim)) + PLANTED_GAP * np.arange(dim)
+    top = _planted_top(dim)
+    draws = np.array([rng.uniform(-2.0, top, (count, dim)) for rng in rngs])
+    return np.sort(draws, axis=-1) + PLANTED_GAP * np.arange(dim)
+
+
+def _shared_stack(rngs, dim: int) -> np.ndarray:
+    """(n, 2, d, d): the coefficients of ``sample_shared`` from each generator."""
+    e = _planted_spectra(rngs, dim, 2)
+    s, s_inv = _random_similarities(rngs, dim, DEFAULT_COND_CAP)
+    return (s[:, None] * e[..., None, :]) @ s_inv[:, None]
+
+
+def _independent_stack(rngs, dim: int) -> np.ndarray:
+    """(n, 2, d, d): the coefficients of ``sample_independent`` from each
+    generator; every S₀ is drawn before any S₁."""
+    e = _planted_spectra(rngs, dim, 2)
+    (s0, s0_inv), (s1, s1_inv) = (
+        _random_similarities(rngs, dim, DEFAULT_COND_CAP) for _ in range(2)
+    )
+    return (np.stack((s0, s1), axis=1) * e[..., None, :]) @ np.stack((s0_inv, s1_inv), axis=1)
+
+
+def _shared_degree2_stack(rngs, dim: int) -> np.ndarray:
+    """(n, 3, d, d): the coefficients of ``sample_shared_degree2`` from each
+    generator; H₂ is drawn after S."""
+    base = _shared_stack(rngs, dim)
+    return np.concatenate((base, _gaussians(rngs, dim)[:, None]), axis=1)
+
+
+def _one_family(draw, rng, dim: int) -> TaylorHamiltonian:
+    """The family a stacked drawer draws from the one generator ``rng``."""
+    return TaylorHamiltonian(tuple(draw([rng], dim)[0]))
 
 
 def sample_shared(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with both coefficients similar through one random S;
     a stationary metric exists by construction."""
-    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s, s_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
-    return TaylorHamiltonian(((s * e0) @ s_inv, (s * e1) @ s_inv))
+    return _one_family(_shared_stack, rng, dim)
 
 
 def sample_independent(rng, dim: int) -> TaylorHamiltonian:
     """Degree-1 family with independently drawn similarity transforms;
     generically no stationary metric exists."""
-    e0, e1 = _planted_spectrum(rng, dim), _planted_spectrum(rng, dim)
-    s0, s0_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
-    s1, s1_inv = _random_similarity(rng, dim, cond_cap=DEFAULT_COND_CAP)
-    return TaylorHamiltonian(((s0 * e0) @ s0_inv, (s1 * e1) @ s1_inv))
+    return _one_family(_independent_stack, rng, dim)
 
 
 def sample_shared_degree2(rng, dim: int) -> TaylorHamiltonian:
     """Shared-similarity degree-1 family extended by a random quadratic
     coefficient; generically violates at order 2."""
-    base = sample_shared(rng, dim)
-    h2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return TaylorHamiltonian(base.coefficients + (h2,))
+    return _one_family(_shared_degree2_stack, rng, dim)
 
 
 #: the built-in samplers, by the name ``qs_scan`` and the CLI take
@@ -148,20 +195,30 @@ SAMPLERS = {
     "shared-degree2": sample_shared_degree2,
 }
 
+#: the built-in samplers as ``(degree, draw)`` under the same names:
+#: ``draw(rngs, dim)`` is the coefficient stack (len(rngs), degree + 1, d, d)
+#: of the families the sampler draws from each generator
+SAMPLER_STACKS = {
+    "shared": (1, _shared_stack),
+    "independent": (1, _independent_stack),
+    "shared-degree2": (2, _shared_degree2_stack),
+}
+
 
 def random_cryptohermitian(
-    dim: int, spectrum, seed: int, cond_cap: float = DEFAULT_COND_CAP
+    dim: int, spectrum, seed: int, cond_cap: float | None = None
 ) -> np.ndarray:
     """H = S·diag(spectrum)·S⁻¹ with a seeded random S of bounded condition.
 
     The planted spectrum is real, so H is non-Hermitian with a real spectrum;
-    the output is bitwise reproducible for a given seed.
+    the output is bitwise reproducible for a given seed.  ``cond_cap``
+    defaults to ``DEFAULT_COND_CAP``.
     """
     values = np.asarray(spectrum, dtype=float)
     if values.shape != (dim,):
         raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {values.shape}")
-    rng = np.random.default_rng(seed)
-    s, s_inv = _random_similarity(rng, dim, cond_cap)
+    cap = DEFAULT_COND_CAP if cond_cap is None else cond_cap
+    (s,), (s_inv,) = _random_similarities([np.random.default_rng(seed)], dim, cap)
     return (s * values) @ s_inv
 
 

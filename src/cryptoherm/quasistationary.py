@@ -31,15 +31,22 @@ from .evolution import TaylorHamiltonian
 from .linalg import (
     BIORTHO_TOL,
     adjoint,
+    as_square_stack,
     decompose_stack,
     invert_stack,
     stacked_fro,
 )
 from .metric import MetricOperator, spectral_metrics
 
-# the samplers live in models; qs_scan looks names up in this very dict, and
-# they stay importable from here
-from .models import SAMPLERS, sample_independent, sample_shared, sample_shared_degree2
+# the samplers live in models and stay importable from here; qs_scan draws a
+# built-in sampler's name through its stacked drawer in SAMPLER_STACKS
+from .models import (
+    SAMPLER_STACKS,
+    SAMPLERS,
+    sample_independent,
+    sample_shared,
+    sample_shared_degree2,
+)
 
 #: default relative tolerance for all certification decisions
 DEFAULT_TOL_QS = 1e-8
@@ -47,8 +54,9 @@ DEFAULT_TOL_QS = 1e-8
 #: relative bound on |Im ε| below which a spectrum counts as real
 REAL_SPECTRUM_RTOL = 1e-8
 
-#: most trials one qs_scan may run; a trial takes about 0.5 ms at dim 8 and
-#: 6 ms at dim 40 (2-vCPU VM), so a scan ends within about ten minutes
+#: most trials one qs_scan may run; a built-in sampler's trial takes about
+#: 0.3 ms at dim 8 and 7 ms at dim 40 (2-vCPU VM), so a scan ends within
+#: about twelve minutes
 MAX_TRIALS = 10**5
 
 #: coefficient bytes qs_scan samples before it certifies them as one stack,
@@ -291,6 +299,12 @@ def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -
     return checked(_certify_families([hamiltonian], tol_qs)[0])
 
 
+def _trial_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of scan trial i: ``SeedSequence(seed).spawn(i + 1)[i]``,
+    built without the other children."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def qs_scan(
     sampler,
     trials: int,
@@ -300,8 +314,8 @@ def qs_scan(
 ) -> ScanStats:
     """Certify ``trials`` independently sampled families and count outcomes.
 
-    ``sampler`` is a callable ``(rng, dim) -> TaylorHamiltonian`` (or a key
-    of :data:`SAMPLERS`).  Trial i draws from the i-th child of
+    ``sampler`` is a callable ``(rng, dim) -> TaylorHamiltonian`` or a key
+    of :data:`SAMPLERS`.  Trial i draws from the i-th child of
     ``SeedSequence(seed)``, so trials are independent within a scan and
     across seeds, and the whole scan is deterministic given the seed.
     Decomposition failures, singular overlaps, non-real spectra and metric
@@ -309,23 +323,28 @@ def qs_scan(
     count as exceptional; any other error ``qs_certify`` raises for a trial
     is raised.  Trials are sampled until their coefficients fill
     ``SCAN_BYTES`` and then certified as one stack, with the counts and
-    errors of certifying them one by one (a sampler error surfaces after the
-    errors of the trials drawn before it); ``trials`` above ``MAX_TRIALS``
-    raise ``ValueError`` before any sampling.  The built-in samplers plant
-    spectra 0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40,
-    where no such spectrum exists.
+    errors of certifying them one by one.
+
+    A callable is called once per trial, and its error surfaces after the
+    errors of the trials drawn before it.  A built-in sampler's name draws
+    each stack at once through :data:`SAMPLER_STACKS`, with the families and
+    streams of its callable; a draw error (``ResampleExhausted``) is raised
+    before that stack is certified.  ``trials`` above ``MAX_TRIALS`` and
+    ``dim`` < 1 raise ``ValueError`` before any sampling.  The built-in
+    samplers plant spectra 0.1 apart in [−2, 2] and raise ``ValueError`` for
+    ``dim`` > 40, where no such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
         raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
-    if isinstance(sampler, str):
-        sampler = SAMPLERS[sampler]
+    if dim < 1:
+        raise ValueError(f"need a dimension of at least 1, got {dim}")
     counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
     violation_orders: dict[int, int] = {}
 
-    def count(families):
-        for outcome in _certify_families(families, tol_qs):
+    def count(outcomes):
+        for outcome in outcomes:
             if isinstance(
                 outcome, (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum, PositivityFailure)
             ):
@@ -338,17 +357,23 @@ def qs_scan(
                     violation_orders.get(cert.first_violation_order, 0) + 1
                 )
 
-    families, size = [], 0
-    try:
-        for i in range(trials):
-            # SeedSequence(seed).spawn(trials)[i], built without the other children
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            family = sampler(rng, dim)
-            families.append(family)
-            size += 16 * (family.degree + 1) * family.dim**2
-            if size >= SCAN_BYTES:
-                chunk, families, size = families, [], 0
-                count(chunk)
-    finally:
-        count(families)
+    if isinstance(sampler, str):
+        degree, draw = SAMPLER_STACKS[sampler]
+        # as many trials as the per-trial path takes to fill SCAN_BYTES
+        per_stack = -(-SCAN_BYTES // (16 * (degree + 1) * dim * dim))
+        for start in range(0, trials, per_stack):
+            rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_stack, trials))]
+            count(_certify_stack(as_square_stack(draw(rngs, dim)), tol_qs))
+    else:
+        families, size = [], 0
+        try:
+            for i in range(trials):
+                family = sampler(_trial_rng(seed, i), dim)
+                families.append(family)
+                size += 16 * (family.degree + 1) * family.dim**2
+                if size >= SCAN_BYTES:
+                    chunk, families, size = families, [], 0
+                    count(_certify_families(chunk, tol_qs))
+        finally:
+            count(_certify_families(families, tol_qs))
     return ScanStats(trials=trials, dim=dim, seed=seed, violation_orders=violation_orders, **counts)

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cryptoherm import biorthogonal_decompose, cli, quasistationary
+from cryptoherm import biorthogonal_decompose, cli, models, quasistationary
 from cryptoherm.cli import COMMANDS, main, parse_config, run
 from cryptoherm.errors import ValidationError
 
@@ -340,6 +340,26 @@ SCAN = {"command": "qs-scan", "sampler": "shared", "trials": 1, "n": 3}
 def test_booleans_and_negative_seeds_exit_2(tmp_path, key, value):
     assert _exit_code(tmp_path, dict(SCAN, **{key: value})) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_flags_do_not_leak_into_the_next_call(tmp_path, capsys):
+    # one parser serves every call in a process
+    path = _write(tmp_path, "scan.json", dict(SCAN, seed=5))
+    seeds = []
+    for i, flags in enumerate((["--seed", "6", "--quiet"], [])):
+        out = tmp_path / f"out{i}"
+        assert main(["--config", str(path), "--out", str(out), *flags]) == 0
+        seeds.append(json.loads((out / "qs_scan.json").read_text())["seed"])
+    assert seeds == [6, 5]
+    assert capsys.readouterr().out.count("wrote") == 1
+
+
+def test_exhausted_resampling_exits_1_with_one_typed_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(models, "DEFAULT_COND_CAP", 1.0)
+    assert _exit_code(tmp_path, dict(SCAN, trials=5)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ResampleExhausted: no similarity transform with condition <= 1.0 in 100 draws"
+    ]
 
 
 def test_negative_seed_flag_exits_2(tmp_path):

@@ -213,6 +213,22 @@ def test_hermitize_warns_on_ill_conditioned_map():
     omega = np.diag([1.0, 1e-7]).astype(complex)
     with pytest.warns(IllConditionedWarning):
         hermitize(np.eye(2, dtype=complex), omega)
+    # a constant family's own factorization gives the same warning and bits
+    family = DysonFamily.constant(omega + np.triu(np.ones((2, 2)), 1))
+    h = np.array([[1.0, 0.5], [0.25, -1.0]], dtype=complex)
+    with pytest.warns(IllConditionedWarning):
+        image = hermitize(h, family, 3.0)
+    with pytest.warns(IllConditionedWarning):
+        assert np.array_equal(image, hermitize(h, family.omega(3.0)))
+
+
+def test_hermitize_takes_a_family_at_a_time():
+    h = np.array([[1.0, 0.5], [0.25, -1.0]], dtype=complex)
+    family = DysonFamily.exp_poly(np.array([[0.3, 1.0], [0.0, -0.2]]), (0.1, 1.0))
+    for t in (0.0, 0.7):
+        assert np.array_equal(hermitize(h, family, t), hermitize(h, family.omega(t)))
+    with pytest.raises(DimensionMismatch):
+        hermitize(np.eye(3), DysonFamily.constant(np.eye(2)))
 
 
 @settings(max_examples=60, deadline=None)

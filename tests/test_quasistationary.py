@@ -1,5 +1,6 @@
 """Tests for the stationary-metric certification machinery."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from cryptoherm import (
     ExpectsRealSpectrum,
     PositivityFailure,
     QSCertificate,
+    ResampleExhausted,
     ScanStats,
     SingularMatrix,
     TaylorHamiltonian,
@@ -22,16 +24,24 @@ from cryptoherm import (
     qs_certify,
     qs_scan,
     qs_solve,
+    random_cryptohermitian,
     sample_independent,
     sample_shared,
     sample_shared_degree2,
     stationarity_residual,
 )
-from cryptoherm import quasistationary
+from cryptoherm import models, quasistationary
 from cryptoherm.errors import NumericalError
-from cryptoherm.linalg import BIORTHO_TOL, norm_fro, principal_sqrt
-from cryptoherm.models import _planted_spectrum, model_2x2
-from cryptoherm.quasistationary import MAX_TRIALS, _certify_families, _solve_weights
+from cryptoherm.linalg import BIORTHO_TOL, invert_stack, norm_fro, principal_sqrt
+from cryptoherm.models import _planted_spectra, model_2x2
+from cryptoherm.quasistationary import (
+    MAX_TRIALS,
+    SAMPLER_STACKS,
+    SAMPLERS,
+    _certify_families,
+    _solve_weights,
+    _trial_rng,
+)
 
 
 def _hermitian(rng, n):
@@ -161,9 +171,9 @@ def test_certify_degree2_extension_violates_at_order_2():
 
 def test_certify_shared_all_orders_compatible():
     rng = np.random.default_rng(13)
-    from cryptoherm.models import _random_similarity
+    from cryptoherm.models import _random_similarities
 
-    s, s_inv = _random_similarity(rng, 4, cond_cap=100.0)
+    (s,), (s_inv,) = _random_similarities([rng], 4, cond_cap=100.0)
     coeffs = tuple(
         (s * np.sort(rng.uniform(-2, 2, 4))) @ s_inv for _ in range(4)
     )
@@ -300,9 +310,7 @@ def test_planted_spectrum_infeasible_dimension_raises_at_once():
 
 
 def test_planted_spectrum_keeps_its_gaps_at_the_largest_dimension():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        values = _planted_spectrum(rng, 40)
+    for values in _planted_spectra([np.random.default_rng(4)], 40, 20)[0]:
         assert values.shape == (40,)
         assert np.diff(values).min() >= 0.1 - 1e-12
         assert -2.0 <= values[0] and values[-1] <= 2.0 + 1e-12
@@ -558,3 +566,81 @@ def test_scans_at_neighbouring_seeds_share_no_family():
     for a in drawn[5]:
         for b in drawn[6]:
             assert not np.array_equal(a.coefficients[0], b.coefficients[0])
+
+
+# ---------------------------------------------------------------------------
+# built-in scans draw whole stacks with the streams of the per-trial samplers
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the coefficients each public sampler draws, and of
+#: random_cryptohermitian, at dims 2, 8 and 33 and seeds 0 and 2008, recorded
+#: with the one-family-at-a-time samplers (numpy 2.4, OpenBLAS 0.3.31)
+SAMPLER_DIGESTS = {
+    "shared": "990fb591b52fa4b068dd710f0a380d83c2e437725d922295ec283731ddf3743d",
+    "independent": "12bfc728f813cceee132f18cbaa3849d45bc8892d5ba81e622070f9db85d8a0e",
+    "shared-degree2": "f9fed25be52b438d6f4b9e2a80adda904fd48e514f25bebf3a3b82690f00078a",
+    "random_cryptohermitian": "4e187bfbbdb9e06d3f4a8435fd2ac1a8a3168791344a11362ee4c21764c32523",
+}
+
+
+def test_public_samplers_draw_the_pinned_families():
+    digests = {name: hashlib.sha256() for name in SAMPLER_DIGESTS}
+    for dim in (2, 8, 33):
+        for seed in (0, 2008):
+            for name, sampler in SAMPLERS.items():
+                for c in sampler(np.random.default_rng(seed), dim).coefficients:
+                    digests[name].update(c.tobytes())
+            matrix = random_cryptohermitian(dim, np.linspace(-1.0, 1.0, dim), seed)
+            digests["random_cryptohermitian"].update(matrix.tobytes())
+    assert {name: d.hexdigest() for name, d in digests.items()} == SAMPLER_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_stacked_drawer_equals_its_sampler_bit_for_bit(name):
+    assert SAMPLER_STACKS.keys() == SAMPLERS.keys()
+    degree, draw = SAMPLER_STACKS[name]
+    for dim in (2, 4, 8, 16, 33, 40):
+        for seed in (0, 7, 2008):
+            stack = draw([_trial_rng(seed, i) for i in range(5)], dim)
+            families = [SAMPLERS[name](_trial_rng(seed, i), dim) for i in range(5)]
+            assert stack.shape == (5, degree + 1, dim, dim)
+            assert np.array_equal(stack, [f.coefficients for f in families])
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_named_scan_equals_one_certificate_per_sampled_trial(monkeypatch, name):
+    degree = SAMPLER_STACKS[name][0]
+    for dim, trials in ((2, 10), (4, 10), (8, 10), (16, 10), (33, 5), (40, 5)):
+        # stacks of 4 trials: a scan spans several, the last one short
+        monkeypatch.setattr(quasistationary, "SCAN_BYTES", 4 * 16 * (degree + 1) * dim**2)
+        for seed in (0, 7, 2008):
+            stats = qs_scan(name, trials, dim, seed)
+            assert stats == _reference_scan(SAMPLERS[name], trials, dim, seed)
+            assert stats == qs_scan(SAMPLERS[name], trials, dim, seed)
+
+
+def test_an_unreachable_cap_raises_after_at_most_100_rounds(monkeypatch):
+    monkeypatch.setattr(models, "DEFAULT_COND_CAP", 1.0)
+    rounds = []
+
+    def counted(m, *args):
+        rounds.append(len(m))
+        return invert_stack(m, *args)
+
+    monkeypatch.setattr(models, "invert_stack", counted)
+    for name in SAMPLERS:
+        rounds.clear()
+        with pytest.raises(ResampleExhausted, match="condition <= 1.0 in 100 draws"):
+            qs_scan(name, 30, 4, 0)
+        # one stack of 30 trials, every generator rejected in every round
+        assert rounds == [30] * 100
+    rounds.clear()
+    with pytest.raises(ResampleExhausted, match="in 100 draws"):
+        random_cryptohermitian(4, np.arange(4.0), seed=0)
+    assert rounds == [1] * 100
+
+
+def test_scan_rejects_an_empty_dimension_before_sampling():
+    for sampler in ("shared", sample_shared):
+        with pytest.raises(ValueError, match="dimension"):
+            qs_scan(sampler, 3, 0, 0)
