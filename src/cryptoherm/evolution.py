@@ -262,7 +262,8 @@ def _taylor_table(hamiltonian: TaylorHamiltonian, weights, out):
 
 def _map_slices(n: int, dim: int):
     """Slices of ``n`` times, each small enough that four tables of Dyson maps
-    over it (the maps and the Padé work space) fit in TABLE_BYTES."""
+    over it (the maps and the two copies each squaring makes) fit in
+    TABLE_BYTES."""
     size = max(1, TABLE_BYTES // (4 * 16 * dim * dim))
     return [slice(a, a + size) for a in range(0, n, size)]
 

@@ -38,15 +38,9 @@ from .linalg import (
 #: condition number of the map beyond which residual guarantees degrade
 COND_WARN = 1e6
 
-#: numerator coefficients b₀…b₁₃ of the degree-13 diagonal Padé approximant
-#: to exp, divided by b₀ so that θ = 0 gives exactly I, and the 1-norm θ₁₃ up
-#: to which it needs no scaling (Higham 2005)
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-))
-_THETA13 = 5.371920351148152
+#: degree of the truncated Taylor series for exp(x·Ĝ); with |x|·‖Ĝ‖₁ ≤ 1 the
+#: terms it drops sum to below 1.05/19! ≈ 8.6e-18
+_TAYLOR_DEGREE = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +105,12 @@ class DysonFamily:
     :meth:`omega` and :meth:`omega_inv` take a time or an array of times and
     return a map per time, shape ``np.shape(t) + (d, d)``; a constant family
     broadcasts its matrix.  For ``exp_poly`` every time goes through one
-    batched degree-13 Padé evaluation with scaling and squaring (Higham
-    2005): A = θ(t)·G is a multiple of one matrix, so p(A) and q(A) are sums
-    of the cached powers of G with per-time weights, Ω = q(A)⁻¹p(A) is one
-    batched solve, and Ω⁻¹ = exp(−θ(t)·G) swaps the roles of p and q.  A
-    scalar time is a batch of one and gives the same bits as its row in an
-    array call.
+    batched degree-18 Taylor sum with scaling and squaring (Al-Mohy & Higham
+    2009): A = θ(t)·G is a multiple of one matrix, so the sum is a polynomial
+    in one real number per time over the cached terms Gᵏ/k!, evaluated by
+    Horner's rule with no matrix factorized, and Ω⁻¹ = exp(−θ(t)·G).  A scalar
+    time is a batch of one and gives the same bits as its row in an array
+    call.
 
     Construction validates the finite square ``matrix`` or ``generator``
     and the finite ``theta`` coefficients, and inverts a constant map once
@@ -172,45 +166,48 @@ class DysonFamily:
 
     @cached_property
     def _powers(self) -> tuple[float, float, np.ndarray]:
-        """(2^e, ‖Ĝ‖₁, Ĝ⁰…Ĝ¹³) for Ĝ = G/2^e, with e chosen so ‖Ĝ‖₁ < 1."""
+        """(2^e, ‖Ĝ‖₁, Ĝᵏ/k! for k = 0…18) for Ĝ = G/2^e, e chosen so ‖Ĝ‖₁ < 1."""
         norm = float(np.abs(self.generator).sum(axis=0).max())
         scale = 2.0 ** np.frexp(norm)[1]
         g = self.generator / scale
-        powers = np.empty((len(_PADE13),) + g.shape, dtype=complex)
-        powers[0] = np.eye(self.dim)
-        for k in range(1, len(_PADE13)):
-            np.matmul(powers[k - 1], g, out=powers[k])
-        return scale, norm / scale, powers
+        terms = np.empty((_TAYLOR_DEGREE + 1,) + g.shape, dtype=complex)
+        terms[0] = np.eye(self.dim)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            np.matmul(terms[k - 1], g / k, out=terms[k])
+        return scale, norm / scale, terms
 
     def _exp(self, theta) -> np.ndarray:
         """exp(θ·G) for each entry of ``theta``, shape ``np.shape(theta) + (d, d)``.
 
         Each θ·G = x·2^s·Ĝ gets its own scaling s, the smallest with
-        |x|·‖Ĝ‖₁ ≤ θ₁₃; the Padé sums are elementwise per time, so an entry's
+        |x|·‖Ĝ‖₁ ≤ 1; the sum ((T₁₈·x + T₁₇)·x + … + T₁)·x + I over the terms
+        Tₖ = Ĝᵏ/k! and the squarings are elementwise per time, so an entry's
         result does not depend on the rest of the batch.  ``NonFiniteState``
-        names the first angle whose map overflows.
+        names the first angle that is not finite, or whose map overflows; the
+        callers turn off numpy's warnings for both.
         """
-        scale, norm, powers = self._powers
-        y = np.ravel(theta) * scale
-        s = np.ceil(np.log2(np.maximum(np.abs(y) * norm / _THETA13, 1.0))).astype(int)
-        x = np.ldexp(y, -s)
-        even = np.zeros((x.size,) + powers.shape[1:], dtype=complex)
-        odd = np.zeros_like(even)
-        xk = np.ones_like(x)
-        for k, (b, power) in enumerate(zip(_PADE13, powers)):
-            acc = odd if k % 2 else even
-            acc += (b * xk)[:, None, None] * power
-            xk = xk * x
-        p = even + odd
-        q = np.subtract(even, odd, out=even)
-        r = np.linalg.solve(q, p)
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below
-            for j in range(s.max(initial=0)):
-                squared = s > j
-                sub = r[squared]
-                r[squared] = sub @ sub
+        scale, norm, terms = self._powers
+        angles = np.ravel(theta)
+        y = angles * scale
+        size = np.abs(y) * norm
+        if not np.isfinite(size).all():
+            bad = angles[~np.isfinite(size)][0]
+            raise NonFiniteState(f"exp(theta*G) is not finite at theta = {bad:.6g}")
+        s = np.ceil(np.log2(np.maximum(size, 1.0))).astype(int)
+        x = np.ldexp(y, -s)[:, None, None]
+        r = np.empty((x.size,) + terms.shape[1:], dtype=complex)
+        real = r.view(float)  # times a real x: two products per entry, not six
+        np.multiply(terms[-1].view(float), x, out=real)
+        for term in terms[-2:0:-1]:
+            r += term
+            real *= x
+        r += terms[0]
+        for j in range(s.max(initial=0)):
+            squared = s > j
+            sub = r[squared]
+            r[squared] = sub @ sub
         if not np.isfinite(r).all():
-            bad = np.ravel(theta)[~np.isfinite(r).all(axis=(1, 2))][0]
+            bad = angles[~np.isfinite(r).all(axis=(1, 2))][0]
             raise NonFiniteState(f"exp(theta*G) is not finite at theta = {bad:.6g}")
         return r.reshape(np.shape(theta) + r.shape[1:])
 
@@ -218,13 +215,15 @@ class DysonFamily:
         """Ω(t); an array of times gives a stack of maps."""
         if self.kind == "constant":
             return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
-        return self._exp(self.theta_at(t))
+        with np.errstate(over="ignore", invalid="ignore"):  # raised by _exp
+            return self._exp(self.theta_at(t))
 
     def omega_inv(self, t) -> np.ndarray:
         """Ω⁻¹(t) = exp(−θ(t)·G); an array of times gives a stack of maps."""
         if self.kind == "constant":
             return np.broadcast_to(self._matrix_inv, np.shape(t) + self.matrix.shape)
-        return self._exp(-self.theta_at(t))
+        with np.errstate(over="ignore", invalid="ignore"):  # raised by _exp
+            return self._exp(-self.theta_at(t))
 
     def connection(self, t: float) -> np.ndarray:
         """Ω⁻¹(t)·Ω̇(t), evaluated exactly."""

@@ -287,6 +287,11 @@ def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     return qs_certify(TaylorHamiltonian((h0, h1)), tol_qs)
 
 
+def _check_tol(tol_qs: float) -> None:
+    if not (np.isfinite(tol_qs) and tol_qs > 0):
+        raise ValueError(f"tol_qs must be a finite number > 0, got {tol_qs!r}")
+
+
 def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     """Certify a full Taylor family against one stationary metric.
 
@@ -294,8 +299,10 @@ def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -
     residual against the found metric; the smallest violating order is
     reported.  A compatible certificate on a degree-1 family is the generic
     best case: higher-degree families generically violate at order 2.
-    Raises as ``qs_solve`` does, and ``ValueError`` for a degree-0 family.
+    Raises as ``qs_solve`` does, and ``ValueError`` for a degree-0 family or
+    a ``tol_qs`` that is not a finite number > 0.
     """
+    _check_tol(tol_qs)
     return checked(_certify_families([hamiltonian], tol_qs)[0])
 
 
@@ -329,10 +336,11 @@ def qs_scan(
     errors of the trials drawn before it.  A built-in sampler's name draws
     each stack at once through :data:`SAMPLER_STACKS`, with the families and
     streams of its callable; a draw error (``ResampleExhausted``) is raised
-    before that stack is certified.  ``trials`` above ``MAX_TRIALS`` and
-    ``dim`` < 1 raise ``ValueError`` before any sampling.  The built-in
-    samplers plant spectra 0.1 apart in [−2, 2] and raise ``ValueError`` for
-    ``dim`` > 40, where no such spectrum exists.
+    before that stack is certified.  ``trials`` above ``MAX_TRIALS``,
+    ``dim`` < 1 and a ``tol_qs`` that is not a finite number > 0 raise
+    ``ValueError`` before any sampling.  The built-in samplers plant spectra
+    0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40, where no
+    such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -340,6 +348,7 @@ def qs_scan(
         raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
     if dim < 1:
         raise ValueError(f"need a dimension of at least 1, got {dim}")
+    _check_tol(tol_qs)
     counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
     violation_orders: dict[int, int] = {}
 

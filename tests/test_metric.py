@@ -159,6 +159,38 @@ def test_overflowing_map_raises_naming_its_angle():
     assert np.isfinite(fam.omega(np.array([0.0, 1.0, 100.0]))).all()
 
 
+def test_an_angle_that_overflows_raises_without_numpy_warnings():
+    # θ(1e10) = 1e310 used to reach the caller as overflow and invalid-value
+    # RuntimeWarnings before the NonFiniteState
+    fam = DysonFamily.exp_poly(np.array([[1.0, 0.5], [0.5, -1.0]]), (0.0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="theta = inf"):
+            fam.omega(1e10)
+        with pytest.raises(NonFiniteState, match="theta = -inf"):
+            fam.omega_inv(np.array([0.0, 1e10]))
+        with pytest.raises(NonFiniteState, match=r"theta = 1e\+10"):
+            DysonFamily.exp_poly(np.eye(2) * 1e300, (0.0, 1.0)).omega(1e10)
+        with pytest.raises(NonFiniteState, match="theta = 1000"):
+            DysonFamily.exp_poly(np.eye(2), (0.0, 1.0)).omega(1000.0)
+
+
+def test_map_tables_factorize_nothing(monkeypatch):
+    calls = []
+    for name in ("solve", "inv", "svd"):
+        method = getattr(np.linalg, name)
+
+        def counted(*args, method=method, **kwargs):
+            calls.append(method.__name__)
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fam = scenario_random(4, 0)[1]
+    for t in (np.linspace(0.0, 1.0, 2001), 0.5):
+        fam.omega(t), fam.omega_inv(t)
+    assert calls == []
+
+
 def test_dyson_from_metric_trivial_and_roundtrip():
     npt.assert_allclose(dyson_from_metric(MetricOperator.from_matrix(np.eye(2))), np.eye(2))
     npt.assert_allclose(
@@ -390,7 +422,7 @@ def test_exp_poly_family_derivative_identity():
 
 
 # ---------------------------------------------------------------------------
-# batched Padé tables of Ω(t) = exp(θ(t)G) and Ω⁻¹(t), against scipy's expm
+# batched Taylor tables of Ω(t) = exp(θ(t)G) and Ω⁻¹(t), against scipy's expm
 # ---------------------------------------------------------------------------
 
 TABLE_TIMES = np.linspace(-0.5, 1.5, 9)

@@ -644,3 +644,19 @@ def test_scan_rejects_an_empty_dimension_before_sampling():
     for sampler in ("shared", sample_shared):
         with pytest.raises(ValueError, match="dimension"):
             qs_scan(sampler, 3, 0, 0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_a_tolerance_that_is_not_finite_and_positive_raises(tol):
+    # a NaN tolerance used to certify every family, and 0, −1 or inf to
+    # reject every one
+    family = sample_independent(np.random.default_rng(0), 4)
+    with pytest.raises(ValueError, match="tol_qs"):
+        qs_certify(family, tol)
+    with pytest.raises(ValueError, match="tol_qs"):
+        qs_solve(*family.coefficients[:2], tol)
+    calls = []
+    for sampler in ("independent", lambda rng, dim: calls.append(dim)):
+        with pytest.raises(ValueError, match="tol_qs"):
+            qs_scan(sampler, 20, 4, 0, tol)
+    assert calls == []
