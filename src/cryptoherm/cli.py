@@ -2,8 +2,9 @@
 
 Reads a JSON run configuration, dispatches to the library, and writes
 machine-readable artifacts plus a short human summary.  Exit codes: 0 on
-success, 1 on numerical failure (error name on stderr), 2 on configuration
-error.  Output is byte-identical across reruns of the same configuration.
+success, 1 on numerical failure or exhausted memory (error name on stderr),
+2 on configuration error.  Output is byte-identical across reruns of the
+same configuration.
 """
 
 from __future__ import annotations
@@ -644,6 +645,9 @@ def main(argv=None) -> int:
     except (ConfigError, NumericalError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except MemoryError as exc:  # numpy raises a subclass named _ArrayMemoryError
+        print(f"MemoryError: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

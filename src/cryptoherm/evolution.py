@@ -273,7 +273,14 @@ def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connection
     of each flag in ``connections``, in entries 2f and 2f + 1, each times its
     time's scale; without the flag, or for a constant family, θ′·G is
     dropped.  One array of scaled powers tᵏ weighs the coefficients of both
-    H and θ′."""
+    H and θ′.  ``DimensionMismatch`` unless the family has the dimension of
+    the Hamiltonian; every propagator that takes a family builds its filler
+    before it evaluates a map."""
+    if family.dim != hamiltonian.dim:
+        raise DimensionMismatch(
+            f"Dyson family dimension {family.dim} does not match "
+            f"Hamiltonian dimension {hamiltonian.dim}"
+        )
     rate = np.array(family._theta_rate_coeffs)
     degrees = np.arange(max(len(hamiltonian.coefficients), rate.size))
     drift = family.kind != "constant" and any(connections)
@@ -358,13 +365,14 @@ def _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, connections)
         raise ValueError("grid is required")
     phi0 = as_state(phi0, hamiltonian.dim)
     times, plan = _substep_plan(grid, step)
+    fill = _taylor_fill(hamiltonian, family, connections)
     if psi0 is None:
         om0 = family.omega(times[0])
         psi0 = om0.conj().T @ (om0 @ phi0)
     else:
         psi0 = as_state(psi0, hamiltonian.dim)
     y0 = np.stack([phi0, psi0] * len(connections))[:, :, None]
-    states = _rk4(times, plan, y0, _taylor_fill(hamiltonian, family, connections))[..., 0]
+    states = _rk4(times, plan, y0, fill)[..., 0]
     return _assemble_trajectories(times, states, family)
 
 
@@ -381,7 +389,8 @@ def propagate_pair(
     ``psi0`` defaults to Θ(t₀)·φ₀, which realizes ⟨Ψ| = ⟨φ|Ω; with that
     choice and a family whose hermitized image is Hermitian, the overlap
     equals the metric norm and both stay constant up to integrator error.
-    ``grid`` is required (``ValueError`` otherwise).
+    ``grid`` is required (``ValueError`` otherwise), and ``family`` must have
+    the dimension of ``hamiltonian`` (``DimensionMismatch`` otherwise).
     """
     return _propagate_doublet(hamiltonian, family, phi0, psi0, grid, step, (True,))[0]
 
@@ -444,6 +453,7 @@ def evolution_operators(
     Both start from the identity.  U_R(t) maps |Φ(0)⟩ to |Φ(t)⟩ and U_L†(t)
     maps |Ψ(0)⟩ to |Ψ(t)⟩; the product U_L(t)U_R(t) is a constant of motion,
     recorded per sample as a residual against its initial value.
+    ``DimensionMismatch`` unless ``family`` has the dimension of ``hamiltonian``.
     """
     times, plan = _substep_plan(grid, step)
     eye = np.broadcast_to(np.eye(hamiltonian.dim, dtype=complex), (2,) + (hamiltonian.dim,) * 2)
@@ -472,7 +482,8 @@ def crosscheck_pictures(
     all three: entry 0 holds [U_R | Φ] from [I | φ₀] under the covariant ket
     generator, entry 1 holds [· | φ] from [I | Ω(t₀)φ₀] under −i·sym(Ω·H·Ω⁻¹).
     The family must have a Hermitian hermitized image along the grid for
-    route (b) to be admissible (``NotHermitian`` at the first time it is not).
+    route (b) to be admissible (``NotHermitian`` at the first time it is not),
+    and the dimension of ``hamiltonian`` (``DimensionMismatch`` otherwise).
     """
     dim = hamiltonian.dim
     phi0 = as_state(phi0, dim)

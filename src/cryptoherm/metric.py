@@ -88,6 +88,14 @@ def metric_operators(theta) -> list:
     return outcomes
 
 
+def _non_finite(times, angles, finite) -> NonFiniteState:
+    """The error of a map table that is not ``finite`` at every time."""
+    i = np.argmin(finite)
+    return NonFiniteState(
+        f"exp(theta*G) is not finite at t = {times[i]:.6g} (theta = {angles[i]:.6g})"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DysonFamily:
     """Time-parametrized invertible map Ω(t) with an exact time derivative.
@@ -165,34 +173,40 @@ class DysonFamily:
         return rate if np.ndim(rate) else float(rate)
 
     @cached_property
-    def _powers(self) -> tuple[float, float, np.ndarray]:
-        """(2^e, ‖Ĝ‖₁, Ĝᵏ/k! for k = 0…18) for Ĝ = G/2^e, e chosen so ‖Ĝ‖₁ < 1."""
-        norm = float(np.abs(self.generator).sum(axis=0).max())
-        scale = 2.0 ** np.frexp(norm)[1]
-        g = self.generator / scale
+    def _powers(self) -> tuple[int, float, np.ndarray]:
+        """(e, ‖Ĝ‖₁, Ĝᵏ/k! for k = 0…18) for Ĝ = G/2^e, e chosen so ‖Ĝ‖₁ < 1.
+
+        The column sums are taken of G/2^m, with 2^m above every real and
+        imaginary part of G, so that they cannot overflow; both scalings are
+        exact."""
+        parts = self.generator.view(float)
+        m = np.frexp(np.abs(parts).max())[1]
+        column_sums = np.abs(np.ldexp(parts, -m).view(complex)).sum(axis=0)
+        e = m + np.frexp(column_sums.max())[1]
+        g = np.ldexp(parts, -e).view(complex)
         terms = np.empty((_TAYLOR_DEGREE + 1,) + g.shape, dtype=complex)
         terms[0] = np.eye(self.dim)
         for k in range(1, _TAYLOR_DEGREE + 1):
             np.matmul(terms[k - 1], g / k, out=terms[k])
-        return scale, norm / scale, terms
+        return int(e), float(np.abs(g).sum(axis=0).max()), terms
 
-    def _exp(self, theta) -> np.ndarray:
-        """exp(θ·G) for each entry of ``theta``, shape ``np.shape(theta) + (d, d)``.
+    def _exp(self, t, sign: float) -> np.ndarray:
+        """exp(sign·θ(t)·G) for each entry of ``t``, shape ``np.shape(t) + (d, d)``.
 
         Each θ·G = x·2^s·Ĝ gets its own scaling s, the smallest with
         |x|·‖Ĝ‖₁ ≤ 1; the sum ((T₁₈·x + T₁₇)·x + … + T₁)·x + I over the terms
         Tₖ = Ĝᵏ/k! and the squarings are elementwise per time, so an entry's
         result does not depend on the rest of the batch.  ``NonFiniteState``
-        names the first angle that is not finite, or whose map overflows; the
-        callers turn off numpy's warnings for both.
+        names the first time whose angle is not finite, or whose map
+        overflows; the callers turn off numpy's warnings for both.
         """
-        scale, norm, terms = self._powers
-        angles = np.ravel(theta)
-        y = angles * scale
+        e, norm, terms = self._powers
+        times = np.ravel(t)
+        angles = sign * npoly.polyval(times, self.theta)
+        y = np.ldexp(angles, e)
         size = np.abs(y) * norm
         if not np.isfinite(size).all():
-            bad = angles[~np.isfinite(size)][0]
-            raise NonFiniteState(f"exp(theta*G) is not finite at theta = {bad:.6g}")
+            raise _non_finite(times, angles, np.isfinite(size))
         s = np.ceil(np.log2(np.maximum(size, 1.0))).astype(int)
         x = np.ldexp(y, -s)[:, None, None]
         r = np.empty((x.size,) + terms.shape[1:], dtype=complex)
@@ -207,23 +221,22 @@ class DysonFamily:
             sub = r[squared]
             r[squared] = sub @ sub
         if not np.isfinite(r).all():
-            bad = angles[~np.isfinite(r).all(axis=(1, 2))][0]
-            raise NonFiniteState(f"exp(theta*G) is not finite at theta = {bad:.6g}")
-        return r.reshape(np.shape(theta) + r.shape[1:])
+            raise _non_finite(times, angles, np.isfinite(r).all(axis=(1, 2)))
+        return r.reshape(np.shape(t) + r.shape[1:])
 
     def omega(self, t) -> np.ndarray:
         """Ω(t); an array of times gives a stack of maps."""
         if self.kind == "constant":
             return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # raised by _exp
-            return self._exp(self.theta_at(t))
+            return self._exp(t, 1.0)
 
     def omega_inv(self, t) -> np.ndarray:
         """Ω⁻¹(t) = exp(−θ(t)·G); an array of times gives a stack of maps."""
         if self.kind == "constant":
             return np.broadcast_to(self._matrix_inv, np.shape(t) + self.matrix.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # raised by _exp
-            return self._exp(-self.theta_at(t))
+            return self._exp(t, -1.0)
 
     def connection(self, t: float) -> np.ndarray:
         """Ω⁻¹(t)·Ω̇(t), evaluated exactly."""

@@ -1,8 +1,8 @@
 """Reference model builders.
 
 Discretized 1-d Schrödinger operators, a parametric 2x2 family, seeded
-similarity samplers with planted real spectra (the Taylor families that
-``quasistationary.qs_scan`` certifies among them), and ready-made scenarios
+samplers with planted real spectra (``SAMPLERS`` draws stacks of the Taylor
+families ``quasistationary.qs_scan`` certifies), and ready-made scenarios
 for the propagators.  Everything is deterministic given its seed.
 """
 
@@ -188,20 +188,17 @@ def sample_shared_degree2(rng, dim: int) -> TaylorHamiltonian:
     return _one_family(_shared_degree2_stack, rng, dim)
 
 
-#: the built-in samplers, by the name ``qs_scan`` and the CLI take
-SAMPLERS = {
-    "shared": sample_shared,
-    "independent": sample_independent,
-    "shared-degree2": sample_shared_degree2,
-}
+_shared_stack.degree = _independent_stack.degree = 1
+_shared_degree2_stack.degree = 2
 
-#: the built-in samplers as ``(degree, draw)`` under the same names:
-#: ``draw(rngs, dim)`` is the coefficient stack (len(rngs), degree + 1, d, d)
-#: of the families the sampler draws from each generator
-SAMPLER_STACKS = {
-    "shared": (1, _shared_stack),
-    "independent": (1, _independent_stack),
-    "shared-degree2": (2, _shared_degree2_stack),
+#: the built-in samplers, by the name ``qs_scan`` and the CLI take: each is a
+#: drawer ``draw(rngs, dim)`` of the coefficient stack (len(rngs), degree + 1,
+#: d, d) of the families the public ``sample_*`` draws from each generator,
+#: with that ``degree`` as its attribute
+SAMPLERS = {
+    "shared": _shared_stack,
+    "independent": _independent_stack,
+    "shared-degree2": _shared_degree2_stack,
 }
 
 

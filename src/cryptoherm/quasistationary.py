@@ -38,10 +38,8 @@ from .linalg import (
 )
 from .metric import MetricOperator, spectral_metrics
 
-# the samplers live in models and stay importable from here; qs_scan draws a
-# built-in sampler's name through its stacked drawer in SAMPLER_STACKS
+# the samplers live in models and stay importable from here
 from .models import (
-    SAMPLER_STACKS,
     SAMPLERS,
     sample_independent,
     sample_shared,
@@ -321,8 +319,9 @@ def qs_scan(
 ) -> ScanStats:
     """Certify ``trials`` independently sampled families and count outcomes.
 
-    ``sampler`` is a callable ``(rng, dim) -> TaylorHamiltonian`` or a key
-    of :data:`SAMPLERS`.  Trial i draws from the i-th child of
+    ``sampler`` is a key of :data:`SAMPLERS`, looked up at call time, a
+    drawer with a ``degree`` like its values, or a callable ``(rng, dim) ->
+    TaylorHamiltonian``.  Trial i draws from the i-th child of
     ``SeedSequence(seed)``, so trials are independent within a scan and
     across seeds, and the whole scan is deterministic given the seed.
     Decomposition failures, singular overlaps, non-real spectra and metric
@@ -332,15 +331,15 @@ def qs_scan(
     ``SCAN_BYTES`` and then certified as one stack, with the counts and
     errors of certifying them one by one.
 
-    A callable is called once per trial, and its error surfaces after the
-    errors of the trials drawn before it.  A built-in sampler's name draws
-    each stack at once through :data:`SAMPLER_STACKS`, with the families and
-    streams of its callable; a draw error (``ResampleExhausted``) is raised
-    before that stack is certified.  ``trials`` above ``MAX_TRIALS``,
-    ``dim`` < 1 and a ``tol_qs`` that is not a finite number > 0 raise
-    ``ValueError`` before any sampling.  The built-in samplers plant spectra
-    0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40, where no
-    such spectrum exists.
+    A drawer is called once per stack, with the generators of its trials;
+    its error (``ResampleExhausted``) is raised before that stack is
+    certified.  A built-in drawer gives the families and streams of its
+    public ``sample_*``.  Any other callable is called once per trial, and
+    its error surfaces after the errors of the trials drawn before it.  An
+    unknown name, ``trials`` above ``MAX_TRIALS``, ``dim`` < 1 and a
+    ``tol_qs`` that is not a finite number > 0 raise ``ValueError`` before
+    any sampling.  The built-in samplers plant spectra 0.1 apart in [−2, 2]
+    and raise ``ValueError`` for ``dim`` > 40, where no such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -349,6 +348,10 @@ def qs_scan(
     if dim < 1:
         raise ValueError(f"need a dimension of at least 1, got {dim}")
     _check_tol(tol_qs)
+    if isinstance(sampler, str):
+        if sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {sampler!r}; one of {', '.join(sorted(SAMPLERS))}")
+        sampler = SAMPLERS[sampler]
     counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
     violation_orders: dict[int, int] = {}
 
@@ -366,13 +369,12 @@ def qs_scan(
                     violation_orders.get(cert.first_violation_order, 0) + 1
                 )
 
-    if isinstance(sampler, str):
-        degree, draw = SAMPLER_STACKS[sampler]
+    if hasattr(sampler, "degree"):
         # as many trials as the per-trial path takes to fill SCAN_BYTES
-        per_stack = -(-SCAN_BYTES // (16 * (degree + 1) * dim * dim))
+        per_stack = -(-SCAN_BYTES // (16 * (sampler.degree + 1) * dim * dim))
         for start in range(0, trials, per_stack):
             rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_stack, trials))]
-            count(_certify_stack(as_square_stack(draw(rngs, dim)), tol_qs))
+            count(_certify_stack(as_square_stack(sampler(rngs, dim)), tol_qs))
     else:
         families, size = [], 0
         try:

@@ -186,6 +186,22 @@ def test_overflowing_dyson_map_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_exhausted_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for an array it cannot allocate; it
+    # used to escape main as a traceback
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def exhausted(cfg, out):
+        raise ArrayMemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setitem(COMMANDS, "decompose", COMMANDS["decompose"]._replace(handler=exhausted))
+    path = _write(tmp_path, "big.json", {"command": "decompose", "model": {"matrix": MATRIX_2}})
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: ") and err.count("\n") == 1
+
+
 def test_metric_command(tmp_path):
     cfg_path = _write(
         tmp_path,

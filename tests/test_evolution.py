@@ -162,6 +162,26 @@ def test_non_finite_initial_states_are_rejected_on_entry(bad):
         propagate_h(lambda t: np.eye(2), state, grid, 1e-2)
 
 
+@pytest.mark.parametrize("kind", ["constant", "exp_poly"])
+@pytest.mark.parametrize("propagate", [
+    lambda ham, fam, phi0, grid: propagate_pair(ham, fam, phi0, None, grid, 1e-2),
+    lambda ham, fam, phi0, grid: propagate_naive(ham, fam, phi0, None, grid, 1e-2),
+    lambda ham, fam, phi0, grid: evolution_operators(ham, fam, grid, 1e-2),
+    lambda ham, fam, phi0, grid: crosscheck_pictures(ham, fam, phi0, grid, 1e-2),
+], ids=["pair", "naive", "operators", "crosscheck"])
+def test_a_family_of_another_dimension_raises_before_any_map(monkeypatch, kind, propagate):
+    # numpy's matmul used to reject it with an untyped ValueError, and
+    # evolution_operators ran a 2×2 model against a 3×3 constant map
+    ham, _, phi0, grid = scenario_falsification()
+    fam = DysonFamily(kind, np.eye(3), np.diag([1.0, 1.0], 1), (0.0, 1.0))
+    maps = []
+    monkeypatch.setattr(DysonFamily, "omega", lambda self, t: maps.append(t))
+    monkeypatch.setattr(DysonFamily, "omega_inv", lambda self, t: maps.append(t))
+    with pytest.raises(DimensionMismatch, match="family dimension 3 .* Hamiltonian dimension 2"):
+        propagate(ham, fam, phi0, grid)
+    assert maps == []
+
+
 def test_propagate_h_constant_diagonal_phase():
     h = np.diag([1.0, 2.0]).astype(complex)
     phi0 = np.array([1.0, 0.0], dtype=complex)

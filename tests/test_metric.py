@@ -175,6 +175,24 @@ def test_an_angle_that_overflows_raises_without_numpy_warnings():
             DysonFamily.exp_poly(np.eye(2), (0.0, 1.0)).omega(1000.0)
 
 
+def test_generators_near_the_float_limit_give_finite_maps():
+    # 2^e for ‖G‖₁ ≥ 2^1023, and a column sum of 2e308, used to come out as
+    # inf and scale every angle, θ = 0 included, to NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega = DysonFamily.exp_poly(np.diag([1.6e308, -1.0]), (0.0, 1.0)).omega([0.0, 1e-308])
+        assert np.array_equal(omega[0], np.eye(2))
+        npt.assert_allclose(omega[1], np.diag([np.exp(1.6), 1.0]), rtol=0, atol=1e-15)
+        g = np.array([[1e308, 0.0], [1e308, 0.0]])
+        omega = DysonFamily.exp_poly(g, (0.0, 1.0)).omega(1e-309)
+        assert _rel_err(omega, expm(1e-309 * g)) <= 1e-13
+
+
+def test_a_map_at_an_infinite_time_names_the_time():
+    with pytest.raises(NonFiniteState, match="at t = inf"):
+        DysonFamily.exp_poly(np.eye(2), (0.0, 1e300)).omega(np.inf)
+
+
 def test_map_tables_factorize_nothing(monkeypatch):
     calls = []
     for name in ("solve", "inv", "svd"):

@@ -1,5 +1,6 @@
 """Tests for the stationary-metric certification machinery."""
 
+import functools
 import hashlib
 import tracemalloc
 
@@ -36,7 +37,6 @@ from cryptoherm.linalg import BIORTHO_TOL, invert_stack, norm_fro, principal_sqr
 from cryptoherm.models import _planted_spectra, model_2x2
 from cryptoherm.quasistationary import (
     MAX_TRIALS,
-    SAMPLER_STACKS,
     SAMPLERS,
     _certify_families,
     _solve_weights,
@@ -583,11 +583,19 @@ SAMPLER_DIGESTS = {
 }
 
 
+#: the public one-generator samplers, by the name of their drawer in SAMPLERS
+PUBLIC_SAMPLERS = {
+    "shared": sample_shared,
+    "independent": sample_independent,
+    "shared-degree2": sample_shared_degree2,
+}
+
+
 def test_public_samplers_draw_the_pinned_families():
     digests = {name: hashlib.sha256() for name in SAMPLER_DIGESTS}
     for dim in (2, 8, 33):
         for seed in (0, 2008):
-            for name, sampler in SAMPLERS.items():
+            for name, sampler in PUBLIC_SAMPLERS.items():
                 for c in sampler(np.random.default_rng(seed), dim).coefficients:
                     digests[name].update(c.tobytes())
             matrix = random_cryptohermitian(dim, np.linspace(-1.0, 1.0, dim), seed)
@@ -597,26 +605,56 @@ def test_public_samplers_draw_the_pinned_families():
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_stacked_drawer_equals_its_sampler_bit_for_bit(name):
-    assert SAMPLER_STACKS.keys() == SAMPLERS.keys()
-    degree, draw = SAMPLER_STACKS[name]
+    draw = SAMPLERS[name]
+    degree = draw.degree
     for dim in (2, 4, 8, 16, 33, 40):
         for seed in (0, 7, 2008):
             stack = draw([_trial_rng(seed, i) for i in range(5)], dim)
-            families = [SAMPLERS[name](_trial_rng(seed, i), dim) for i in range(5)]
+            families = [PUBLIC_SAMPLERS[name](_trial_rng(seed, i), dim) for i in range(5)]
             assert stack.shape == (5, degree + 1, dim, dim)
             assert np.array_equal(stack, [f.coefficients for f in families])
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_named_scan_equals_one_certificate_per_sampled_trial(monkeypatch, name):
-    degree = SAMPLER_STACKS[name][0]
+    degree = SAMPLERS[name].degree
     for dim, trials in ((2, 10), (4, 10), (8, 10), (16, 10), (33, 5), (40, 5)):
         # stacks of 4 trials: a scan spans several, the last one short
         monkeypatch.setattr(quasistationary, "SCAN_BYTES", 4 * 16 * (degree + 1) * dim**2)
         for seed in (0, 7, 2008):
             stats = qs_scan(name, trials, dim, seed)
-            assert stats == _reference_scan(SAMPLERS[name], trials, dim, seed)
-            assert stats == qs_scan(SAMPLERS[name], trials, dim, seed)
+            assert stats == _reference_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
+            assert stats == qs_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_a_named_scan_calls_the_registered_drawer_once_per_stack(monkeypatch, name):
+    # the wrapper is built as a tracer builds one: functools.wraps copies the
+    # drawer's degree, which keeps the scan on the stacked path
+    draw, calls = SAMPLERS[name], []
+
+    @functools.wraps(draw)
+    def counted(rngs, dim):
+        calls.append(len(rngs))
+        return draw(rngs, dim)
+
+    dim, trials, seed = 4, 10, 7
+    expected = qs_scan(name, trials, dim, seed)
+    assert expected == qs_scan(draw, trials, dim, seed)
+    assert expected == qs_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
+    monkeypatch.setattr(quasistationary, "SCAN_BYTES", 4 * 16 * (draw.degree + 1) * dim**2)
+    monkeypatch.setitem(quasistationary.SAMPLERS, name, counted)
+    assert qs_scan(name, trials, dim, seed) == expected
+    assert calls == [4, 4, 2]
+
+
+def test_an_unknown_sampler_name_raises_before_sampling(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(quasistationary, "_trial_rng", unreachable)
+    with pytest.raises(ValueError, match="'bogus'; one of independent, shared, shared-degree2"):
+        qs_scan("bogus", 10, 4, 0)
 
 
 def test_an_unreachable_cap_raises_after_at_most_100_rounds(monkeypatch):
