@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, NotHermitian
-from .linalg import adjoint, as_square_matrix, as_state, stacked_fro
+from .linalg import adjoint, as_square_matrix, as_state, power_table, stacked_fro
 from .metric import DysonFamily
 
 #: propagated components beyond this magnitude abort the run
@@ -181,14 +181,31 @@ def _substep_plan(grid, step: float):
     return times, plan.astype(int)
 
 
+def _aligned_states(count: int, shape) -> list:
+    """``count`` empty complex arrays of ``shape`` whose data start on 64-byte
+    boundaries.  The RK4 stages write their products into these, and at
+    dim 64 a product into an output that is only 16-byte aligned, as numpy
+    may place it, runs about 12 % slower."""
+    size = int(np.prod(shape)) * 16
+    stride = -(-size // 64) * 64
+    raw = np.empty(count * stride + 64, dtype=np.uint8)
+    first = -raw.ctypes.data % 64
+    return [
+        raw[a : a + size].view(complex).reshape(shape)
+        for a in range(first, first + count * stride, stride)
+    ]
+
+
 def _rk4(times, plan, y0, fill):
     """RK4 for ẏ[s] = A[s](t)·y[s] on a stacked state ``y0`` of shape (S, d, k).
 
     ``fill(t, scale, out)`` writes scale[i]·A[s](t[i]) into ``out[s, i]``.
     The table holds (h/2)·A: with bᵢ = (h/2)·kᵢ a stage is one product and
-    one add, and y gains (b1 + 2·b2 + 2·b3 + b4)/3.  A start slot is the
-    previous substep's end, scaled for its h, so the first product is
-    rescaled where h changes; every entry stays independent of the chunking.
+    one add, and y gains (b1 + 2·b2 + 2·b3 + b4)/3, with 2·bᵢ formed as
+    bᵢ + bᵢ (exact either way, but an add of two arrays costs half a
+    multiply by a Python float).  A start slot is the previous substep's
+    end, scaled for its h, so the first product is rescaled where h changes;
+    every entry stays independent of the chunking.
     Returns the grid samples, shape (len(times), S, d, k); the running state
     lives in its next sample, so the work space is the table and three
     states.  ``NonFiniteState`` unless max|y| ≤ STATE_CAP after each substep,
@@ -206,46 +223,52 @@ def _rk4(times, plan, y0, fill):
     stack, dim = y0.shape[:2]
     chunk = min(n, max(1, TABLE_BYTES // (2 * stack * dim * dim * 16)))
     table = np.empty((stack, 2 * chunk + 1, dim, dim), dtype=complex)
-    slots = [table[:, j] for j in range(2 * chunk + 1)]
+    # the start, midpoint and end slots of each substep of a chunk
+    views = [table[:, j] for j in range(2 * chunk + 1)]
+    slots = list(zip(views[:-1:2], views[1::2], views[2::2]))
     # the h that the start slot is scaled for (0 on a one-point grid: no substep)
     (h_start,) = np.resize(h, 1).tolist()
     fill(tt[:1], np.array([0.5 * h_start]), table[:, 2 * chunk :])
     samples = np.empty((times.size,) + y0.shape, dtype=complex)
     samples[0] = y0
-    acc, k, tmp = (np.empty(y0.shape, dtype=complex) for _ in range(3))
-    i, j, cap2 = 0, 2 * chunk, STATE_CAP**2
+    acc, k, tmp = _aligned_states(3, y0.shape)
+    # a ufunc takes a Python float through its slow scalar path: bind the
+    # functions, double by addition and divide by a complex 0-d array
+    matmul, add, divide, vdot, three = np.matmul, np.add, np.divide, np.vdot, np.array(3 + 0j)
+    i, q, cap2 = 0, chunk, STATE_CAP**2
     for seg, nsub in enumerate(plan):
         y = samples[seg + 1]
         y[...] = samples[seg]
         for hi in h[i : i + nsub].tolist():
-            if j == 2 * chunk:
+            if q == chunk:
                 # carry the last end generator to slot 0, per entry: no buffer
                 for entry in table:
-                    entry[0] = entry[j]
+                    entry[0] = entry[2 * chunk]
                 c = min(chunk, n - i)
                 scale = np.repeat(0.5 * h[i : i + c], 2)  # a midpoint and an end per substep
                 fill(tt[2 * i + 1 : 2 * (i + c) + 1], scale, table[:, 1 : 2 * c + 1])
-                j = 0
+                q = 0
+            start, mid, end = slots[q]
             # bᵢ = (h/2)·kᵢ: acc sums b1 + 2·b2 + 2·b3 + b4, and tmp is y + b1,
             # y + b2, then y + 2·b3; the start slot is scaled for the last h
-            np.matmul(slots[j], y, out=acc)
+            matmul(start, y, out=acc)
             if hi != h_start:
                 acc *= hi / h_start
-            np.add(y, acc, out=tmp)
-            np.matmul(slots[j + 1], tmp, out=k)
-            np.add(y, k, out=tmp)
-            k *= 2.0
-            acc += k
-            np.matmul(slots[j + 1], tmp, out=k)
-            k *= 2.0
-            np.add(y, k, out=tmp)
-            acc += k
-            np.matmul(slots[j + 2], tmp, out=k)
-            acc += k
-            acc /= 3.0
-            y += acc
-            i, j, h_start = i + 1, j + 2, hi
-            if not (np.vdot(y, y).real <= cap2 or np.abs(y).max() <= STATE_CAP):
+            add(y, acc, out=tmp)
+            matmul(mid, tmp, out=k)
+            add(y, k, out=tmp)
+            add(k, k, out=k)
+            add(acc, k, out=acc)
+            matmul(mid, tmp, out=k)
+            add(k, k, out=k)
+            add(y, k, out=tmp)
+            add(acc, k, out=acc)
+            matmul(end, tmp, out=k)
+            add(acc, k, out=acc)
+            divide(acc, three, out=acc)
+            add(y, acc, out=y)
+            i, q, h_start = i + 1, q + 1, hi
+            if not (vdot(y, y).real <= cap2 or np.abs(y).max() <= STATE_CAP):
                 raise NonFiniteState(
                     f"propagated state left the finite range at t = {float(tt[2 * i])!r}"
                 )
@@ -282,12 +305,12 @@ def _taylor_fill(hamiltonian: TaylorHamiltonian, family: DysonFamily, connection
             f"Hamiltonian dimension {hamiltonian.dim}"
         )
     rate = np.array(family._theta_rate_coeffs)
-    degrees = np.arange(max(len(hamiltonian.coefficients), rate.size))
+    count = max(len(hamiltonian.coefficients), rate.size)
     drift = family.kind != "constant" and any(connections)
     g = family.generator.reshape(1, -1) if drift else None
 
     def fill(t, scale, out):
-        weights = t[:, None] ** degrees
+        weights = power_table(t, count)
         weights *= scale[:, None]
         if drift:
             rates = (weights[:, : rate.size] @ rate).astype(complex)[:, None]
@@ -490,13 +513,13 @@ def crosscheck_pictures(
     times, plan = _substep_plan(grid, step)
 
     covariant = _taylor_fill(hamiltonian, family, (True,))
-    degrees = np.arange(len(hamiltonian.coefficients))
+    count = len(hamiltonian.coefficients)
 
     def fill(t, scale, out):
         covariant(t, scale, out)  # A into entry 0; the samples overwrite its −A† in entry 1
         h = out[1]
         for sl in _map_slices(t.size, dim):
-            _taylor_table(hamiltonian, t[sl, None] ** degrees, h[sl])
+            _taylor_table(hamiltonian, power_table(t[sl], count), h[sl])
             h[sl] = family.omega(t[sl]) @ h[sl] @ family.omega_inv(t[sl])
         _hermitian_generator(t, h, scale)
 

@@ -88,6 +88,22 @@ def adjoint(matrices) -> np.ndarray:
     return np.asarray(matrices).conj().swapaxes(-1, -2)
 
 
+def power_table(t, count: int) -> np.ndarray:
+    """tᵏ for k = 0…count − 1, one row per entry of the 1-d array ``t``.
+
+    |t| is raised to the powers and the odd columns of each row with its sign
+    bit set are negated, because numpy's ``pow`` on a negative base is about
+    30 times slower.  A row whose sign bit is clear equals its row of
+    ``t[:, None] ** np.arange(count)`` bit for bit; the others may differ from
+    it at rounding level, as ``pow`` takes another path there.
+    """
+    w = np.abs(t)[:, None] ** np.arange(count)
+    negative = np.signbit(t)
+    if negative.any():  # most tables have no negative time
+        w[negative, 1::2] *= -1.0
+    return w
+
+
 def invert_stack(m: np.ndarray, rtol: float = SINGULAR_RTOL):
     """``(inverses, singular_values, singular)`` of a finite (n, d, d) stack,
     without raising: one SVD gates it and one LU inverts it, each entry bit

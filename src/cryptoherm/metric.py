@@ -31,6 +31,7 @@ from .linalg import (
     as_state,
     inverse_with_singular_values,
     norm_fro,
+    power_table,
     principal_sqrt,
     stacked_fro,
 )
@@ -115,10 +116,11 @@ class DysonFamily:
     broadcasts its matrix.  For ``exp_poly`` every time goes through one
     batched degree-18 Taylor sum with scaling and squaring (Al-Mohy & Higham
     2009): A = θ(t)·G is a multiple of one matrix, so the sum is a polynomial
-    in one real number per time over the cached terms Gᵏ/k!, evaluated by
-    Horner's rule with no matrix factorized, and Ω⁻¹ = exp(−θ(t)·G).  A scalar
-    time is a batch of one and gives the same bits as its row in an array
-    call.
+    in one real number x per time over the cached terms Gᵏ/k!.  A table of
+    the weights xᵏ, one row per time, is multiplied against the float view of
+    the terms in one product per time, with no matrix factorized, and
+    Ω⁻¹ = exp(−θ(t)·G).  A scalar time is a batch of one and gives the same
+    bits as its row in an array call.
 
     Construction validates the finite square ``matrix`` or ``generator``
     and the finite ``theta`` coefficients, and inverts a constant map once
@@ -174,7 +176,8 @@ class DysonFamily:
 
     @cached_property
     def _powers(self) -> tuple[int, float, np.ndarray]:
-        """(e, ‖Ĝ‖₁, Ĝᵏ/k! for k = 0…18) for Ĝ = G/2^e, e chosen so ‖Ĝ‖₁ < 1.
+        """(e, ‖Ĝ‖₁, Ĝᵏ/k! for k = 0…18) for Ĝ = G/2^e, e chosen so ‖Ĝ‖₁ < 1;
+        the terms come as one (19, 2d²) float array, a row per k.
 
         The column sums are taken of G/2^m, with 2^m above every real and
         imaginary part of G, so that they cannot overflow; both scalings are
@@ -188,17 +191,21 @@ class DysonFamily:
         terms[0] = np.eye(self.dim)
         for k in range(1, _TAYLOR_DEGREE + 1):
             np.matmul(terms[k - 1], g / k, out=terms[k])
-        return int(e), float(np.abs(g).sum(axis=0).max()), terms
+        flat = terms.view(float).reshape(len(terms), -1)
+        return int(e), float(np.abs(g).sum(axis=0).max()), flat
 
     def _exp(self, t, sign: float) -> np.ndarray:
         """exp(sign·θ(t)·G) for each entry of ``t``, shape ``np.shape(t) + (d, d)``.
 
         Each θ·G = x·2^s·Ĝ gets its own scaling s, the smallest with
-        |x|·‖Ĝ‖₁ ≤ 1; the sum ((T₁₈·x + T₁₇)·x + … + T₁)·x + I over the terms
-        Tₖ = Ĝᵏ/k! and the squarings are elementwise per time, so an entry's
-        result does not depend on the rest of the batch.  ``NonFiniteState``
-        names the first time whose angle is not finite, or whose map
-        overflows; the callers turn off numpy's warnings for both.
+        |x|·‖Ĝ‖₁ ≤ 1.  The sum Σₖ xᵏ·Tₖ over the terms Tₖ = Ĝᵏ/k! is one
+        product per time of its weights xᵏ (k = 0…18) against the float view
+        of the terms.  These are a batch of one-row products, not one GEMM
+        over all times, whose rows' bits would depend on where they sit in the
+        batch; with the squarings, also per time, an entry's result does not
+        depend on the rest of the batch.  ``NonFiniteState`` names the first
+        time whose angle is not finite, or whose map overflows; the callers
+        turn off numpy's warnings for both.
         """
         e, norm, terms = self._powers
         times = np.ravel(t)
@@ -208,14 +215,10 @@ class DysonFamily:
         if not np.isfinite(size).all():
             raise _non_finite(times, angles, np.isfinite(size))
         s = np.ceil(np.log2(np.maximum(size, 1.0))).astype(int)
-        x = np.ldexp(y, -s)[:, None, None]
-        r = np.empty((x.size,) + terms.shape[1:], dtype=complex)
-        real = r.view(float)  # times a real x: two products per entry, not six
-        np.multiply(terms[-1].view(float), x, out=real)
-        for term in terms[-2:0:-1]:
-            r += term
-            real *= x
-        r += terms[0]
+        weights = power_table(np.ldexp(y, -s), len(terms))
+        r = np.empty((times.size, self.dim, self.dim), dtype=complex)
+        rows = r.view(float).reshape(times.size, 1, terms.shape[1])
+        np.matmul(weights[:, None], terms, out=rows)
         for j in range(s.max(initial=0)):
             squared = s > j
             sub = r[squared]

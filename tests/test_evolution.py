@@ -295,6 +295,32 @@ def test_crosscheck_falsification_scenario():
     assert naive.max_metric_drift > 1e-3
 
 
+def test_negative_time_grid_keeps_the_covariant_drift():
+    # shifted to [-1, 0], every table row takes the negated odd powers of |t|
+    ham, fam, phi0, grid = scenario_random(4, 0)
+    traj = propagate_pair(ham, fam, phi0, None, grid - 1.0, 1e-3)
+    assert max(traj.max_norm_drift, traj.max_metric_drift) <= 1e-8
+    report = crosscheck_pictures(ham, fam, phi0, grid - 1.0, 1e-3)
+    assert report.max_pairwise_deviation() <= 1e-7
+
+
+def test_crosscheck_at_dim_64():
+    # one map per table slice at this dimension: batches of one time
+    assert evolution._map_slices(3, 64)[0] == slice(0, 1)
+    ham, fam, phi0, _ = scenario_random(64, 0)
+    report = crosscheck_pictures(ham, fam, phi0, np.linspace(0.0, 0.01, 11), 1e-3)
+    assert report.max_pairwise_deviation() <= 1e-7
+
+
+def test_rk4_work_states_start_on_64_byte_boundaries():
+    states = evolution._aligned_states(3, (2, 64, 65))
+    assert [s.ctypes.data % 64 for s in states] == [0, 0, 0]
+    assert all(s.shape == (2, 64, 65) and s.dtype == complex for s in states)
+    assert all(s.flags.c_contiguous and s.flags.writeable for s in states)
+    spans = sorted((s.ctypes.data, s.ctypes.data + s.nbytes) for s in states)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
 def test_crosscheck_step_halving_shrinks_deviations():
     ham, fam, phi0, grid = scenario_random(4, 3)
     coarse = crosscheck_pictures(ham, fam, phi0, grid, 1e-3)

@@ -25,6 +25,7 @@ from cryptoherm.linalg import (
     as_state,
     decompose_stack,
     invert_stack,
+    power_table,
     stacked_fro,
 )
 from cryptoherm.models import model_2x2, random_cryptohermitian
@@ -352,3 +353,21 @@ def test_cli_hermitize_factorizes_the_map_once_per_stage(tmp_path, factorization
     factorizations.clear()
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert factorizations == {"svd": 1, "inv": 1}
+
+
+def test_power_table_rows_with_a_clear_sign_bit_equal_numpy_pow_bit_for_bit():
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, np.inf, -np.inf]
+    t = np.concatenate([rng.uniform(-2.0, 2.0, 200_000), special])
+    for count in (1, 2, 6, 19):
+        table = power_table(t, count)
+        reference = t[:, None] ** np.arange(count)
+        clear = ~np.signbit(t)
+        assert table.shape == (t.size, count)
+        assert np.array_equal(table[clear].view(np.int64), reference[clear].view(np.int64))
+        # a set sign bit: the same signs and infinities, and values at rounding level
+        assert np.array_equal(np.signbit(table), np.signbit(reference))
+        finite = np.isfinite(reference)
+        assert np.array_equal(np.isfinite(table), finite)
+        err = np.abs(table[finite] - reference[finite])
+        assert (err <= 4e-16 * np.abs(reference[finite])).all()

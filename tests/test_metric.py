@@ -515,6 +515,21 @@ def test_omega_scalar_time_is_its_row_of_the_array_call():
         assert np.array_equal(fam.omega(grid), omega.reshape(3, 3, fam.dim, fam.dim))
 
 
+@pytest.mark.parametrize("dim", (3, 5, 8))
+def test_each_map_row_is_independent_of_its_batch(dim):
+    # ‖θ(1)·G‖₁ = 20: |t| ≥ 0.05 squares s ≥ 1 times, up to s = 5 at |t| = 1.5
+    fam = _scaled_family(dim, dim, 20.0)
+    times = np.concatenate([[0.0, 0.01, -0.02, 1.5, -1.5],
+                            np.random.default_rng(dim).uniform(-1.5, 1.5, 12)])
+    for maps in (fam.omega, fam.omega_inv):
+        alone = [maps(float(t)) for t in times]
+        for n in range(1, times.size + 1):
+            # every time lands at other positions in batches of other sizes
+            picks = (5 * np.arange(n) + n) % times.size
+            for row, k in zip(maps(times[picks]), picks):
+                assert np.array_equal(row, alone[k])
+
+
 def test_omega_at_zero_angle_is_exactly_identity():
     for fam in (scenario_random(4, 0)[1], _scaled_family(2, 6, 50.0)):
         assert fam.theta_at(0.0) == 0.0
