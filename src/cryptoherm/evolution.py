@@ -233,8 +233,10 @@ def _rk4(times, plan, y0, fill):
     samples[0] = y0
     acc, k, tmp = _aligned_states(3, y0.shape)
     # a ufunc takes a Python float through its slow scalar path: bind the
-    # functions, double by addition and divide by a complex 0-d array
-    matmul, add, divide, vdot, three = np.matmul, np.add, np.divide, np.vdot, np.array(3 + 0j)
+    # functions, double by addition and divide by 3 as a multiply of acc's
+    # float view by a 0-d 1/3
+    matmul, add, multiply, vdot = np.matmul, np.add, np.multiply, np.vdot
+    acc_parts, third = acc.view(float), np.array(1.0 / 3.0)
     i, q, cap2 = 0, chunk, STATE_CAP**2
     for seg, nsub in enumerate(plan):
         y = samples[seg + 1]
@@ -265,7 +267,7 @@ def _rk4(times, plan, y0, fill):
             add(acc, k, out=acc)
             matmul(end, tmp, out=k)
             add(acc, k, out=acc)
-            divide(acc, three, out=acc)
+            multiply(acc_parts, third, out=acc_parts)
             add(y, acc, out=y)
             i, q, h_start = i + 1, q + 1, hi
             if not (vdot(y, y).real <= cap2 or np.abs(y).max() <= STATE_CAP):

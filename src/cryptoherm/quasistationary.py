@@ -6,9 +6,9 @@ time-independent positive metric Θ makes every coefficient quasi-Hermitian
 
 The order-0 condition is solved by the spectral expansion
 Θ = Σ_n |Ψ₀,n⟩ κ_n ⟨Ψ₀,n| over the left eigenvectors of H₀ with free
-positive weights κ.  The order-1 condition collapses, in the overlap
-coordinates A_jk = ⟨Ψ₀,j|Φ₁,k⟩, to the diagonal-congruence problem
-T·M = M†·T with M = A·F·A⁻¹, F = diag(ε₁) and T = diag(κ): each
+positive weights κ.  The order-1 condition collapses, in H₀'s biorthonormal
+basis, to the diagonal-congruence problem T·M = M†·T with
+M_jk = ⟨Ψ₀,j|H₁|Φ₀,k⟩ (H₁ written in that basis) and T = diag(κ): each
 significant entry pair fixes a weight ratio κ_k/κ_j = M_jk / M*_kj, rows of
 zeros leave the corresponding weights free, and the full residual of
 T·M − M†·T decides compatibility.  Weights are normalized to κ₁ = 1.
@@ -24,7 +24,6 @@ from .errors import (
     DefectiveMatrix,
     ExpectsRealSpectrum,
     PositivityFailure,
-    SingularMatrix,
     checked,
 )
 from .evolution import TaylorHamiltonian
@@ -33,7 +32,6 @@ from .linalg import (
     adjoint,
     as_square_stack,
     decompose_stack,
-    invert_stack,
     stacked_fro,
 )
 from .metric import MetricOperator, spectral_metrics
@@ -170,8 +168,9 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     """``qs_certify`` on every family of a stack (n, degree + 1, d, d),
     degree ≥ 1: per family its certificate or the error it raises.
 
-    Decompositions, overlaps, M = A·F·A⁻¹ and the residuals of every order
-    are computed for the whole stack at once.  The weights take one
+    Decompositions, M = L₀†·H₁·R₀ (H₁ in H₀'s biorthonormal basis) and the
+    residuals of every order are computed for the whole stack at once; H₁'s
+    decomposition only gates its basis and spectrum.  The weights take one
     vectorized step where every off-diagonal pair of M is significant
     (κ_k = M₀ₖ / M*ₖ₀) or none is (κ = 1); other patterns go through
     ``_solve_weights``.  Rows that fail a gate get garbage in the later
@@ -180,21 +179,17 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     n, d = coefficients.shape[0], coefficients.shape[-1]
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
     sys1, failed1 = decompose_stack(coefficients[:, 1], BIORTHO_TOL)
-    a = adjoint(sys0.left_vectors) @ sys1.right_vectors
-    a_inv, _, singular = invert_stack(a)
     outcomes = [
         f0 or f1 or c0 or c1
-        or (SingularMatrix("overlap matrix between the eigenbases is singular") if sing else None)
-        for f0, f1, c0, c1, sing in zip(
+        for f0, f1, c0, c1 in zip(
             failed0,
             failed1,
             _complex_spectra(sys0.eigenvalues, "order-0 coefficient"),
             _complex_spectra(sys1.eigenvalues, "order-1 coefficient"),
-            singular,
         )
     ]
     failed = np.array([o is not None for o in outcomes])
-    m = (a * sys1.eigenvalues.real[:, None, :]) @ a_inv
+    m = adjoint(sys0.left_vectors) @ coefficients[:, 1] @ sys0.right_vectors
 
     scale = stacked_fro(m)
     threshold = tol_qs * scale
@@ -278,9 +273,8 @@ def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     as ``qs_certify`` of the degree-1 family (H₀, H₁).
 
     Raises ``DimensionMismatch`` when the shapes differ, ``DefectiveMatrix``
-    when either coefficient fails to diagonalize, ``ExpectsRealSpectrum``
-    when a spectrum is not real to tolerance, and ``SingularMatrix`` when
-    the overlap matrix between the two eigenbases degenerates.
+    when either coefficient fails to diagonalize, and ``ExpectsRealSpectrum``
+    when a spectrum is not real to tolerance.
     """
     return qs_certify(TaylorHamiltonian((h0, h1)), tol_qs)
 
@@ -324,10 +318,10 @@ def qs_scan(
     TaylorHamiltonian``.  Trial i draws from the i-th child of
     ``SeedSequence(seed)``, so trials are independent within a scan and
     across seeds, and the whole scan is deterministic given the seed.
-    Decomposition failures, singular overlaps, non-real spectra and metric
-    candidates that are not positive definite (as near an exceptional point)
-    count as exceptional; any other error ``qs_certify`` raises for a trial
-    is raised.  Trials are sampled until their coefficients fill
+    Decomposition failures, non-real spectra and metric candidates that are
+    not positive definite (as near an exceptional point) count as
+    exceptional; any other error ``qs_certify`` raises for a trial is
+    raised.  Trials are sampled until their coefficients fill
     ``SCAN_BYTES`` and then certified as one stack, with the counts and
     errors of certifying them one by one.
 
@@ -357,9 +351,7 @@ def qs_scan(
 
     def count(outcomes):
         for outcome in outcomes:
-            if isinstance(
-                outcome, (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum, PositivityFailure)
-            ):
+            if isinstance(outcome, (DefectiveMatrix, ExpectsRealSpectrum, PositivityFailure)):
                 counts["exceptional"] += 1
                 continue
             cert = checked(outcome)

@@ -28,7 +28,8 @@ from cryptoherm.linalg import (
     power_table,
     stacked_fro,
 )
-from cryptoherm.models import model_2x2, random_cryptohermitian
+from cryptoherm.models import model_2x2, random_cryptohermitian, sample_independent, sample_shared
+from cryptoherm.quasistationary import _certify_families, qs_certify
 
 
 def test_decompose_hermitian_diagonal():
@@ -353,6 +354,19 @@ def test_cli_hermitize_factorizes_the_map_once_per_stage(tmp_path, factorization
     factorizations.clear()
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert factorizations == {"svd": 1, "inv": 1}
+
+
+def test_certification_factorizes_only_the_two_eigenvector_gates(factorizations):
+    # H₀'s and H₁'s decompositions each gate their eigenvectors with one SVD
+    # and invert them with one LU; M = L₀†·H₁·R₀ needs no further factorization
+    families = [sample_shared(np.random.default_rng(s), 4) for s in range(3)]
+    families += [sample_independent(np.random.default_rng(s), 4) for s in range(3)]
+    factorizations.clear()
+    qs_certify(families[0])
+    assert factorizations == {"svd": 2, "inv": 2}
+    factorizations.clear()
+    _certify_families(families, 1e-8)
+    assert factorizations == {"svd": 2, "inv": 2}
 
 
 def test_power_table_rows_with_a_clear_sign_bit_equal_numpy_pow_bit_for_bit():

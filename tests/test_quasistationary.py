@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoherm import (
@@ -122,19 +122,34 @@ def test_weight_recovery_against_planted_metric():
 
 
 def test_first_row_formula_in_generic_case():
-    from cryptoherm.linalg import biorthogonal_decompose
-
-    h0, h1, _ = _metric_compatible_pair(7, 4)
-    sys0 = biorthogonal_decompose(h0)
-    sys1 = biorthogonal_decompose(h1)
-    a = sys0.left_vectors.conj().T @ sys1.right_vectors
-    m = (a * sys1.eigenvalues.real) @ np.linalg.inv(a)
-    cert = qs_solve(h0, h1)
-    formula = np.array(
-        [1.0] + [m[0, k] / np.conj(m[k, 0]) for k in range(1, 4)]
-    )
-    npt.assert_allclose(cert.kappa, formula.real, rtol=1e-9)
-    assert np.abs(formula.imag).max() <= 1e-9
+    # M = A·diag(Re ε₁)·A⁻¹ over the eigenbasis overlap A = L₀†R₁ is an
+    # independent reference for the certifier's M = L₀†·H₁·R₀: the two agree
+    # on every family; where all off-diagonal pairs are significant the
+    # weights are κ_k = M₀ₖ / M*ₖ₀, and where none is (a shared eigenbasis)
+    # every weight stays 1
+    families = [TaylorHamiltonian(_metric_compatible_pair(7, 4)[:2])]
+    for dim in (3, 8, 16):
+        for seed in range(4):
+            families.append(TaylorHamiltonian(_metric_compatible_pair(seed, dim)[:2]))
+            families.append(sample_shared(np.random.default_rng(seed), dim))
+            families.append(sample_independent(np.random.default_rng(seed), dim))
+    generic = shared = 0
+    for family in families:
+        m = _overlap_condition_matrix(family)
+        npt.assert_allclose(_condition_matrix(family), m, rtol=0, atol=1e-9 * np.linalg.norm(m))
+        cert = qs_certify(family)
+        if cert.kappa is None:
+            continue
+        off = (np.abs(m) >= 1e-8 * np.linalg.norm(m)) & ~np.eye(family.dim, dtype=bool)
+        if off.sum() == family.dim * (family.dim - 1):
+            formula = np.concatenate([[1.0], m[0, 1:] / m[1:, 0].conj()])
+            npt.assert_allclose(cert.kappa, formula.real, rtol=1e-9)
+            assert np.abs(formula.imag).max() <= 1e-9
+            generic += 1
+        else:
+            assert not off.any() and (cert.kappa == 1.0).all()
+            shared += 1
+    assert (generic, shared) == (13, 12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -205,6 +220,17 @@ def test_certificate_fields_default_to_undecided():
     assert cert.residuals == () and cert.detail == ""
 
 
+def _near_exceptional_point(r, phi, eps):
+    """model_2x2 at s = r·|sin φ|·(1 + ε): at ε = 0 its eigenvectors coalesce,
+    and below it its spectrum is complex."""
+    return model_2x2(r, r * abs(np.sin(phi)) * (1.0 + eps), phi)
+
+
+# both eigenbases ill-conditioned: the eigenbasis overlap L₀†R₁ is
+# numerically singular here, while M = L₀†·H₁·R₀ is well defined
+@example(r=0.7078067358268137, phi=1.0030021483327693, phi_sign=1.0,
+         log_eps=-12.327597987000443, side=1.0, r1=1.1754195467288862,
+         phi1=-0.35824836809725813, log_eps1=-11.903320346342873, side1=1.0)
 @settings(max_examples=40, deadline=None)
 @given(
     r=st.floats(0.5, 2.0),
@@ -212,14 +238,15 @@ def test_certificate_fields_default_to_undecided():
     phi_sign=st.sampled_from((-1.0, 1.0)),
     log_eps=st.floats(-14.0, -1.0),
     side=st.sampled_from((-1.0, 1.0)),
+    r1=st.floats(0.5, 2.0),
+    phi1=st.one_of(st.floats(0.2, 1.4), st.floats(-1.4, -0.2)),
+    log_eps1=st.floats(-14.0, -1.0),
+    side1=st.sampled_from((-1.0, 1.0)),
 )
 def test_near_the_exceptional_point_results_are_typed_or_within_bounds(
-    r, phi, phi_sign, log_eps, side
+    r, phi, phi_sign, log_eps, side, r1, phi1, log_eps1, side1
 ):
-    # s = r·|sin φ|·(1 ± ε): at ε = 0 the eigenvectors of model_2x2 coalesce,
-    # and below it (side −1) its spectrum is complex
-    phi *= phi_sign
-    h = model_2x2(r, r * abs(np.sin(phi)) * (1.0 + side * 10.0**log_eps), phi)
+    h = _near_exceptional_point(r, phi * phi_sign, side * 10.0**log_eps)
     try:
         system = biorthogonal_decompose(h)
     except DefectiveMatrix:
@@ -233,10 +260,25 @@ def test_near_the_exceptional_point_results_are_typed_or_within_bounds(
     try:
         cert = qs_solve(h, np.diag([1.0, 2.0]))
     except expected:
+        pass
+    else:
+        assert side > 0
+        _finite_and_within_tolerance(cert)
+    # H₁ near its own exceptional point too
+    try:
+        cert = qs_solve(h, _near_exceptional_point(r1, phi1, side1 * 10.0**log_eps1))
+    except NumericalError:
         return
-    assert side > 0
+    _finite_and_within_tolerance(cert)
+
+
+def _finite_and_within_tolerance(cert):
+    """Finite κ, residuals and Θ, and every residual within tolerance of a
+    compatible verdict."""
     for value in (cert.kappa, cert.residuals, cert.metric and cert.metric.matrix):
         assert value is None or np.isfinite(value).all()
+    if cert.status == "compatible":
+        assert max(cert.residuals) <= 1e-8
 
 
 def test_scan_counts_a_non_positive_metric_near_the_exceptional_point_as_exceptional():
@@ -375,7 +417,7 @@ def _reference_scan(sampler, trials, dim, seed, tol_qs=1e-8):
     for child in np.random.SeedSequence(seed).spawn(trials):
         try:
             cert = qs_certify(sampler(np.random.default_rng(child), dim), tol_qs)
-        except (DefectiveMatrix, SingularMatrix, ExpectsRealSpectrum, PositivityFailure):
+        except (DefectiveMatrix, ExpectsRealSpectrum, PositivityFailure):
             counts["exceptional"] += 1
             continue
         counts[cert.status] += 1
@@ -398,10 +440,17 @@ def _same_certificate(a, b):
 
 
 def _overlap_condition_matrix(ham):
+    """M = A·diag(Re ε₁)·A⁻¹ over the eigenbasis overlap A = L₀†R₁."""
     sys0 = biorthogonal_decompose(ham.coefficients[0])
     sys1 = biorthogonal_decompose(ham.coefficients[1])
     a = sys0.left_vectors.conj().T @ sys1.right_vectors
     return (a * sys1.eigenvalues.real) @ np.linalg.inv(a)
+
+
+def _condition_matrix(ham):
+    """M = L₀†·H₁·R₀, as the certifier forms it: H₁ in H₀'s biorthonormal basis."""
+    sys0 = biorthogonal_decompose(ham.coefficients[0])
+    return sys0.left_vectors.conj().T @ ham.coefficients[1] @ sys0.right_vectors
 
 
 def _block_family(seed):
@@ -435,7 +484,7 @@ def test_vectorized_weights_equal_the_component_search():
         ham = TaylorHamiltonian((h0, h1))
         if seed % 2:
             ham = sample_independent(np.random.default_rng(seed), 5)
-        m = _overlap_condition_matrix(ham)
+        m = _condition_matrix(ham)
         kappa, detail = _solve_weights(m, 1e-8 * np.linalg.norm(m))
         assert detail is None and (np.abs(m) >= 1e-8 * np.linalg.norm(m)).all()
         cert = qs_certify(ham)
