@@ -17,14 +17,18 @@ One fixed-step 4th-order Runge-Kutta kernel steps every propagator's stacked
 state against a table of the generators at each substep's start, midpoint
 and end, filled TABLE_BYTES at a time, so memory stays flat in the run
 length.  The table holds (h/2)·A rather than A, so a stage is one batched
-product and one add.  A state passes the finite-range check in one call when
-‖y‖₂ ≤ STATE_CAP; only past that does max|y| ≤ STATE_CAP decide.  For a
-matrix polynomial a chunk is one real GEMM of the scaled monomial weights
-against the float view of the stacked coefficients, then one ×(−i) pass,
-plus θ′(t)·G as one outer product, with θ′ weighed from the same powers of t.
-A picture comparison is one run of that kernel: the cross-check stacks the
-covariant [U_R | Φ] and the lower-case [· | φ], and the covariant and naive
-doublets of the falsification demo share one stack as well.
+product and one add.  The stage arithmetic has two schedules, chosen by the
+state's dimension: past STEP_OPERATOR_DIM a substep runs the four stages on
+the state; up to it, each chunk runs them once on an identity stack to form
+every substep's increment operator E_j, and a substep is y += E_j·y.  A
+state passes the finite-range check in one call when ‖y‖₂ ≤ STATE_CAP; only
+past that does max|y| ≤ STATE_CAP decide.  For a matrix polynomial a chunk
+is one real GEMM of the scaled monomial weights against the float view of
+the stacked coefficients, then one ×(−i) pass, plus θ′(t)·G as one outer
+product, with θ′ weighed from the same powers of t.  A picture comparison is
+one run of that kernel: the cross-check stacks the covariant [U_R | Φ] and
+the lower-case [· | φ], and the covariant and naive doublets of the
+falsification demo share one stack as well.
 
 The Dyson maps are tabulated the same way: the metric norms of a trajectory,
 the lower-case generators Ω·H·Ω⁻¹ of the picture cross-check and its
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import add, matmul, multiply, vdot
 
 from .errors import DimensionMismatch, NonFiniteState, NotHermitian
 from .linalg import adjoint, as_square_matrix, as_state, power_table, stacked_fro
@@ -52,6 +57,12 @@ MAX_SUBSTEPS = 10**6
 #: bytes of generator matrices tabulated per chunk of substeps (two per
 #: substep); at dim 64 with a ket and a bra this is one substep per chunk
 TABLE_BYTES = 256 * 1024
+
+#: largest state dimension that ``_rk4`` steps by per-substep increment
+#: operators; larger states run the four RK4 stages on the state
+STEP_OPERATOR_DIM = 8
+
+_THIRD = np.array(1.0 / 3.0)  # a 0-d array: see _increment
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,20 +207,95 @@ def _aligned_states(count: int, shape) -> list:
     ]
 
 
+def _steps_by_operators(shape) -> bool:
+    """Whether ``_rk4`` steps a stacked state of ``shape`` (S, d, k) by
+    per-substep increment operators (d ≤ STEP_OPERATOR_DIM) rather than
+    stagewise."""
+    return shape[1] <= STEP_OPERATOR_DIM
+
+
+def _increment(b1, mid, end, y, k, tmp, parts):
+    """The RK4 stage arithmetic of both schedules.  ``b1`` holds b1 = (h/2)·A·y
+    on entry and the increment (b1 + 2·b2 + 2·b3 + b4)/3 on return, with
+    bᵢ = (h/2)·kᵢ and ``mid``, ``end`` the table's midpoint and end slots.
+    ``y`` is the state, or an identity that broadcasts against a stack of
+    substeps; ``k`` and ``tmp`` are work arrays shaped like ``b1`` and
+    ``parts`` is its float view.  A ufunc takes a Python float through its
+    slow scalar path, so 2·bᵢ is bᵢ + bᵢ and the third multiplies ``parts``
+    by a 0-d 1/3; the module binds the ufuncs, as a lookup per call costs
+    about 3 % of a d = 16 substep."""
+    add(y, b1, out=tmp)  # tmp is y + b1, y + b2, then y + 2·b3
+    matmul(mid, tmp, out=k)
+    add(y, k, out=tmp)
+    add(k, k, out=k)
+    add(b1, k, out=b1)
+    matmul(mid, tmp, out=k)
+    add(k, k, out=k)
+    add(y, k, out=tmp)
+    add(b1, k, out=b1)
+    matmul(end, tmp, out=k)
+    add(b1, k, out=b1)
+    multiply(parts, _THIRD, out=parts)
+
+
+def _step_operators(table, h, h_start):
+    """Overwrite the midpoint slots of the first ``h.size`` substeps of
+    ``table`` with their increment operators E_j = (B1 + 2·P2 + 2·P3 + P4)/3.
+
+    B1, B2, B3 are the substep's start, midpoint and end slots, B1 rescaled
+    from the h it is scaled for (``h_start``, then the previous substep's) to
+    its own, and P2 = B2(I + B1), P3 = B2(I + P2), P4 = B3(I + 2·P3): the
+    arithmetic of :func:`_increment` on an identity stack, so that a substep
+    is y += E_j·y.  E is formed a part of the substeps at a time, in work
+    stacks of at most TABLE_BYTES / 8 each: three, and up to two more that
+    numpy allocates to buffer a broadcast into one.  They live only for this
+    call, so they never add to a fill's work space.  A midpoint slot is no
+    longer read once its E is formed; the start and end slots stay as they
+    were.
+    """
+    stack, dim = table.shape[0], table.shape[-1]
+    part = max(1, min(h.size, TABLE_BYTES // (8 * stack * dim * dim * 16)))
+    b1, k, tmp = _aligned_states(3, (stack, part, dim, dim))
+    eye = np.eye(dim, dtype=complex)
+    ratio = h / np.concatenate(([h_start], h[:-1]))
+    rescale = (ratio != 1.0).any()
+    for a in range(0, h.size, part):
+        c = min(part, h.size - a)
+        start, mid, end = (table[:, 2 * a + j : 2 * (a + c) + j : 2] for j in range(3))
+        acc, kc, tc = (w[:, :c] for w in (b1, k, tmp))
+        if rescale:  # both parts of each start slot times its real ratio
+            np.multiply(start.view(float), ratio[a : a + c, None, None], out=acc.view(float))
+        else:
+            np.copyto(acc, start)
+        _increment(acc, mid, end, eye, kc, tc, acc.view(float))
+        np.copyto(mid, acc)
+
+
 def _rk4(times, plan, y0, fill):
     """RK4 for ẏ[s] = A[s](t)·y[s] on a stacked state ``y0`` of shape (S, d, k).
 
     ``fill(t, scale, out)`` writes scale[i]·A[s](t[i]) into ``out[s, i]``.
     The table holds (h/2)·A: with bᵢ = (h/2)·kᵢ a stage is one product and
-    one add, and y gains (b1 + 2·b2 + 2·b3 + b4)/3, with 2·bᵢ formed as
-    bᵢ + bᵢ (exact either way, but an add of two arrays costs half a
-    multiply by a Python float).  A start slot is the previous substep's
-    end, scaled for its h, so the first product is rescaled where h changes;
-    every entry stays independent of the chunking.
+    one add, and y gains (b1 + 2·b2 + 2·b3 + b4)/3 (:func:`_increment`).  A
+    start slot is the previous substep's end, scaled for its h, so the first
+    product is rescaled where h changes; every entry stays independent of the
+    chunking.
+
+    Two schedules, chosen from the shape alone (:func:`_steps_by_operators`):
+    past d = STEP_OPERATOR_DIM each substep runs the four stages on the state
+    ("stagewise"); up to it, each table chunk runs them once on an identity
+    stack, three batched products that turn every substep's midpoint slot
+    into its increment operator E_j (:func:`_step_operators`), and a substep
+    is one product and one add, y += E_j·y.  At small d a substep is bound by
+    the fixed cost of about 15 numpy calls, which the second schedule cuts
+    to 3; at d = 16 and above the d³ operator products cost more than the
+    stages they replace.
+
     Returns the grid samples, shape (len(times), S, d, k); the running state
-    lives in its next sample, so the work space is the table and three
-    states.  ``NonFiniteState`` unless max|y| ≤ STATE_CAP after each substep,
-    decided in one call while ‖y‖₂ ≤ STATE_CAP.
+    lives in its next sample, so the work space is the table, three states
+    and, while step operators are formed, at most 5/8 of TABLE_BYTES more.
+    ``NonFiniteState`` unless max|y| ≤ STATE_CAP after each substep, decided
+    in one call while ‖y‖₂ ≤ STATE_CAP.
     """
     # step sizes, and the generator times: t₀, then each substep's midpoint
     # (t0 + j·h) + h/2 and end t0 + (j + 1)·h, an interval ending on its grid point
@@ -226,17 +312,14 @@ def _rk4(times, plan, y0, fill):
     # the start, midpoint and end slots of each substep of a chunk
     views = [table[:, j] for j in range(2 * chunk + 1)]
     slots = list(zip(views[:-1:2], views[1::2], views[2::2]))
+    operators = _steps_by_operators(y0.shape)
     # the h that the start slot is scaled for (0 on a one-point grid: no substep)
     (h_start,) = np.resize(h, 1).tolist()
     fill(tt[:1], np.array([0.5 * h_start]), table[:, 2 * chunk :])
     samples = np.empty((times.size,) + y0.shape, dtype=complex)
     samples[0] = y0
     acc, k, tmp = _aligned_states(3, y0.shape)
-    # a ufunc takes a Python float through its slow scalar path: bind the
-    # functions, double by addition and divide by 3 as a multiply of acc's
-    # float view by a 0-d 1/3
-    matmul, add, multiply, vdot = np.matmul, np.add, np.multiply, np.vdot
-    acc_parts, third = acc.view(float), np.array(1.0 / 3.0)
+    acc_parts = acc.view(float)
     i, q, cap2 = 0, chunk, STATE_CAP**2
     for seg, nsub in enumerate(plan):
         y = samples[seg + 1]
@@ -249,25 +332,18 @@ def _rk4(times, plan, y0, fill):
                 c = min(chunk, n - i)
                 scale = np.repeat(0.5 * h[i : i + c], 2)  # a midpoint and an end per substep
                 fill(tt[2 * i + 1 : 2 * (i + c) + 1], scale, table[:, 1 : 2 * c + 1])
+                if operators:
+                    _step_operators(table, h[i : i + c], h_start)
                 q = 0
             start, mid, end = slots[q]
-            # bᵢ = (h/2)·kᵢ: acc sums b1 + 2·b2 + 2·b3 + b4, and tmp is y + b1,
-            # y + b2, then y + 2·b3; the start slot is scaled for the last h
-            matmul(start, y, out=acc)
-            if hi != h_start:
-                acc *= hi / h_start
-            add(y, acc, out=tmp)
-            matmul(mid, tmp, out=k)
-            add(y, k, out=tmp)
-            add(k, k, out=k)
-            add(acc, k, out=acc)
-            matmul(mid, tmp, out=k)
-            add(k, k, out=k)
-            add(y, k, out=tmp)
-            add(acc, k, out=acc)
-            matmul(end, tmp, out=k)
-            add(acc, k, out=acc)
-            multiply(acc_parts, third, out=acc_parts)
+            if operators:
+                matmul(mid, y, out=acc)  # E_j·y
+            else:
+                # b1, with the start slot scaled for the last h
+                matmul(start, y, out=acc)
+                if hi != h_start:
+                    acc *= hi / h_start
+                _increment(acc, mid, end, y, k, tmp, acc_parts)
             add(y, acc, out=y)
             i, q, h_start = i + 1, q + 1, hi
             if not (vdot(y, y).real <= cap2 or np.abs(y).max() <= STATE_CAP):

@@ -133,11 +133,18 @@ def test_pair_step_validation():
         propagate_pair(ham, fam, phi0, None, np.array([0.0, 0.5, 0.2]), 1e-3)
 
 
-def test_pair_nonfinite_state():
+# STEP_OPERATOR_DIM values that force each RK4 schedule at every dimension used here
+SCHEDULES = [pytest.param(0, id="stagewise"), pytest.param(64, id="step-operators")]
+
+
+@pytest.mark.parametrize("operator_dim", SCHEDULES)
+def test_pair_nonfinite_state(operator_dim, monkeypatch):
     # purely anti-Hermitian Hamiltonian with strong gain: exp(50 t) blows
     # past the cap before t = 1.  Both components of φ grow as g^m after m
     # substeps, g the RK4 factor: past STATE_CAP first at m = 553, while the
-    # 2-norm √2·g^m passes it some substeps earlier
+    # 2-norm √2·g^m passes it some substeps earlier; either schedule checks
+    # the state after every substep
+    monkeypatch.setattr(evolution, "STEP_OPERATOR_DIM", operator_dim)
     ham = TaylorHamiltonian((np.diag([50.0j, 50.0j]),))
     fam = DysonFamily.constant(np.eye(2))
     z = 50.0 * 1e-3
@@ -449,6 +456,84 @@ def test_kernel_matches_reference_loop(make, grid, step, table_bytes, monkeypatc
     assert np.abs(lower.states - states).max() <= 1e-13
 
 
+def _polynomial_fill(coeffs):
+    """Table filler for A[s](t) = C[s, 0] + t·C[s, 1]."""
+
+    def fill(t, scale, out):
+        for entry, (c0, c1) in zip(out, coeffs):
+            entry[...] = scale[:, None, None] * (c0 + t[:, None, None] * c1)
+
+    return fill
+
+
+def _schedule_case(dim, stack, width, seed=0):
+    """Generators of the size of ``scenario_random``'s (a Hermitian part of
+    norm about 7 plus t times one of norm 3.5, and a non-normal drive of norm
+    1.5) for each of ``stack`` entries, and unit columns to step."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.empty((stack, 2, dim, dim), dtype=complex)
+    for entry in coeffs:
+        drive = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        entry[0] = -1j * _hermitian(rng, dim, 7.0) + drive * (1.5 / np.linalg.norm(drive, 2))
+        entry[1] = -1j * _hermitian(rng, dim, 3.5)
+    y0 = rng.standard_normal((stack, dim, width)) + 1j * rng.standard_normal((stack, dim, width))
+    return coeffs, y0 / np.linalg.norm(y0, axis=1, keepdims=True)
+
+
+def _run_schedule(monkeypatch, operator_dim, times, plan, y0, fill):
+    monkeypatch.setattr(evolution, "STEP_OPERATOR_DIM", operator_dim)
+    return evolution._rk4(times, plan, y0, fill)
+
+
+@pytest.mark.parametrize("table_bytes", [evolution.TABLE_BYTES, 3000], ids=["budget", "tiny-chunks"])
+@pytest.mark.parametrize("grid, step", EQUIVALENCE_GRIDS)
+@pytest.mark.parametrize("widen", [0, 1, 2], ids=["width-1", "width-d", "width-d+1"])
+@pytest.mark.parametrize("stack", [1, 2, 4])
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_schedules_agree_with_each_other_and_the_reference_loop(
+    dim, stack, widen, grid, step, table_bytes, monkeypatch
+):
+    monkeypatch.setattr(evolution, "TABLE_BYTES", table_bytes)
+    grid = GRID if grid is None else grid
+    coeffs, y0 = _schedule_case(dim, stack, (1, dim, dim + 1)[widen])
+    times, plan = evolution._substep_plan(grid, step)
+    fill = _polynomial_fill(coeffs)
+    stagewise, operators = (
+        _run_schedule(monkeypatch, operator_dim, times, plan, y0, fill)
+        for operator_dim in (0, 64)
+    )
+    assert np.abs(operators - stagewise).max() <= 1e-13
+    for s, (c0, c1) in enumerate(coeffs):
+        (reference,) = _reference_integrate(lambda t: c0 + t * c1, grid, step, [y0[s]], [False])
+        assert np.abs(stagewise[:, s] - reference).max() <= 1e-13
+        assert np.abs(operators[:, s] - reference).max() <= 1e-13
+
+
+@pytest.mark.parametrize("operator_dim", SCHEDULES)
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_schedules_are_independent_of_the_chunking(dim, operator_dim, monkeypatch):
+    # unequal intervals, so that start slots are rescaled within and across chunks
+    coeffs, y0 = _schedule_case(dim, 2, dim + 1, seed=1)
+    times, plan = evolution._substep_plan(np.array([0.0, 0.1, 0.3 + 2e-11, 0.35, 1.0]), 0.05)
+    fill = _polynomial_fill(coeffs)
+    runs = []
+    for table_bytes in (evolution.TABLE_BYTES, 3000, 2 * 16 * 2 * dim * dim):
+        monkeypatch.setattr(evolution, "TABLE_BYTES", table_bytes)
+        runs.append(_run_schedule(monkeypatch, operator_dim, times, plan, y0, fill))
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+@pytest.mark.parametrize("shape, operators", [
+    ((2, 8, 1), True),  # cli-batch's evolve and naive-evolve
+    ((2, 4, 5), True),  # its crosscheck
+    ((4, 2, 1), True),  # its demo
+    ((2, 16, 1), False),  # evolve's median pair
+    ((2, 64, 64), False),  # evolve's operator op
+])
+def test_schedule_follows_the_state_shape(shape, operators):
+    assert evolution._steps_by_operators(shape) is operators
+
+
 FILL_SCENARIOS = [
     pytest.param(scenario_falsification, id="falsification"),
     pytest.param(lambda: scenario_random(4, 1), id="random-4"),
@@ -557,6 +642,43 @@ def test_pair_memory_stays_within_chunk_budget():
         a.nbytes for a in (traj.times, traj.phi, traj.psi, traj.overlap, traj.metric_norm)
     )
     assert peak < outputs + 2 * evolution.TABLE_BYTES
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_step_operator_pair_memory_stays_within_chunk_budget():
+    ham, fam, phi0, _ = scenario_random(8, 0)
+    assert evolution._steps_by_operators((2, 8, 1))
+    grid = np.linspace(0.0, 1.0, 1001)
+    fam.omega(0.0)  # the family keeps the powers of its generator from its first map
+    traj, peak = _traced_peak(lambda: propagate_pair(ham, fam, phi0, None, grid, 1e-3))
+    outputs = sum(
+        a.nbytes for a in (traj.times, traj.phi, traj.psi, traj.overlap, traj.metric_norm)
+    )
+    assert peak < outputs + 2 * evolution.TABLE_BYTES
+
+
+def test_step_operators_add_nothing_to_the_crosscheck_peak(monkeypatch):
+    # the Hermitian-image fill sets a d = 4 cross-check's peak, and step
+    # operators are formed in work that is freed before the next fill: had
+    # its three stacks lived through a fill, they would add 96 KiB
+    ham, fam, phi0, grid = scenario_random(4, 3)
+    crosscheck_pictures(ham, fam, phi0, grid, 1e-3)  # the family's cached powers
+    peaks = {}
+    for operator_dim in (0, 8):
+        monkeypatch.setattr(evolution, "STEP_OPERATOR_DIM", operator_dim)
+        _, peaks[operator_dim] = _traced_peak(
+            lambda: crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
+        )
+    assert peaks[8] < peaks[0] + 4096
 
 
 def test_crosscheck_tabulates_maps_per_chunk(monkeypatch):
