@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -347,59 +349,107 @@ def _validate_command(cfg: RunConfig, errors: list[str]):
 # serialization (full precision; reruns are byte identical)
 # ---------------------------------------------------------------------------
 
+#: most floats the writers format in one piece (one leading-axis entry of an
+#: array when that holds more), so a written file's text never lives whole
+PIECE_FLOATS = 2048
+
+
 def _pairs(array) -> np.ndarray:
-    """A complex scalar or array as a float array of [re, im] pairs."""
-    return np.stack([array.real, array.imag], -1)
+    """A complex scalar or array as a float view of [re, im] pairs: a trailing
+    unit axis lets the view take any strides the array has."""
+    return np.asarray(array)[..., None].view(float)
 
 
-def _json_array(array: np.ndarray, level: int) -> str:
-    """A float array as ``json.dumps(array.tolist(), indent=2)`` writes it at
-    nesting ``level``: one ``%r`` template carries the nesting of the shape,
-    filled with every float at once."""
+def _json_template(shape, level: int) -> str:
+    """The ``%r`` template that ``json.dumps(indent=2)`` writes a float array
+    of ``shape`` by at nesting ``level``."""
     template = "%r"
-    for axis in reversed(range(array.ndim)):
-        size = array.shape[axis]
-        if size == 0:
+    for axis in reversed(range(len(shape))):
+        if shape[axis] == 0:
             template = "[]"
             continue
         pad = "\n" + "  " * (level + axis + 1)
         close = "\n" + "  " * (level + axis) + "]"
-        template = "[" + pad + ("," + pad).join([template] * size) + close
-    text = template % tuple(array.ravel().tolist())
-    if not np.isfinite(array).all():
-        # JSON's spelling of the floats repr writes as nan, inf and -inf
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+        template = "[" + pad + ("," + pad).join([template] * shape[axis]) + close
+    return template
 
 
-def _json(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed dicts,
-    lists and JSON scalars, where float arrays stand for their ``tolist()``."""
+def _json_blocks(blocks, level: int):
+    """Pieces of the JSON text of a float array, given as consecutive blocks
+    along its leading axis, at nesting ``level``: each block fills one ``%r``
+    template with all its floats at once."""
+    pad = "\n" + "  " * (level + 1)
+    separator = "[" + pad
+    for block in blocks:
+        entry = _json_template(block.shape[1:], level + 1)
+        text = ("," + pad).join([entry] * len(block)) % tuple(block.ravel().tolist())
+        if not np.isfinite(block).all():
+            # JSON's spelling of the floats repr writes as nan, inf and -inf
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield separator + text
+        separator = "," + pad
+    yield "[]" if separator[0] == "[" else "\n" + "  " * level + "]"
+
+
+def _leading_blocks(array: np.ndarray, rows: int):
+    """``array`` in consecutive slices of ``rows`` leading-axis entries."""
+    return (array[a : a + rows] for a in range(0, len(array), rows))
+
+
+def _json(obj, level: int = 0):
+    """Pieces of ``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed
+    dicts, lists and JSON scalars, where float arrays stand for their
+    ``tolist()`` and an iterator for the float array of its blocks; an array
+    is written PIECE_FLOATS at a time."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64:
-            return _json_array(obj, level)
-        obj = obj.tolist()
+        if obj.dtype == np.float64 and obj.ndim:
+            rows = max(1, PIECE_FLOATS // max(1, math.prod(obj.shape[1:])))
+            obj = _leading_blocks(obj, rows)
+        else:
+            obj = obj.tolist()
+    if isinstance(obj, Iterator):
+        yield from _json_blocks(obj, level)
+        return
     if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in sorted(obj.items())]
+        items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(obj.items())]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [_json(v, level + 1) for v in obj]
+        items = [("", v) for v in obj]
         brackets = "[]"
     else:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     if not items:
-        return brackets
+        yield brackets
+        return
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    separator = brackets[0] + pad
+    for key, value in items:
+        yield separator + key
+        yield from _json(value, level + 1)
+        separator = "," + pad
+    yield "\n" + "  " * level + brackets[1]
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.write_text(_json(obj) + "\n")
+    with path.open("w") as f:
+        f.writelines(_json(obj))
+        f.write("\n")
     return path
 
 
+def _drift(overlap: np.ndarray, rows: int):
+    """The running maximum of |overlap[k] − overlap[0]| in blocks of ``rows``;
+    a maximum is exact, so each block carries the last one's end bit for bit."""
+    top = 0.0
+    for block in _leading_blocks(overlap, rows):
+        block = np.maximum.accumulate(np.abs(block - overlap[0]))
+        np.maximum(block, top, out=block)
+        top = block[-1]
+        yield block
+
+
 def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str) -> Path:
-    drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
     if fmt == "json":
         return _write_json(
             path_base.with_suffix(".json"),
@@ -408,21 +458,25 @@ def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str
                 "phi": _pairs(traj.phi),
                 "psi": _pairs(traj.psi),
                 "overlap": _pairs(traj.overlap),
-                "drift": drift,
+                "drift": _drift(traj.overlap, PIECE_FLOATS),
             },
         )
-    n = traj.phi.shape[1]
+    samples, n = traj.phi.shape
     header = ["t"]
     header += [f"{v}{i}_{p}" for v in ("phi", "psi") for i in range(n) for p in ("re", "im")]
     header += ["overlap_re", "overlap_im", "drift"]
-    # one complex table viewed as [re, im] columns; t and drift keep only re
-    table = np.column_stack([traj.times, traj.phi, traj.psi, traj.overlap, drift]).view(float)
-    values = np.delete(table, [1, -1], axis=1)
-    # one "%.17g" row template per row under the header, which holds no "%"
-    row = ",".join(["%.17g"] * values.shape[1])
-    template = "\n".join([",".join(header)] + [row] * values.shape[0]) + "\n"
+    # the real columns besides drift, each a float view of the trajectory
+    columns = [traj.times]
+    columns += [_pairs(z).reshape(samples, -1) for z in (traj.phi, traj.psi, traj.overlap)]
+    rows = max(1, PIECE_FLOATS // len(header))
+    # one "%.17g" row template per row of a block
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     path = path_base.with_suffix(".csv")
-    path.write_text(template % tuple(values.ravel().tolist()))
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for a, drift in zip(range(0, samples, rows), _drift(traj.overlap, rows)):
+            block = np.column_stack([c[a : a + rows] for c in columns] + [drift])
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 

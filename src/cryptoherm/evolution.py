@@ -62,6 +62,11 @@ TABLE_BYTES = 256 * 1024
 #: operators; larger states run the four RK4 stages on the state
 STEP_OPERATOR_DIM = 8
 
+#: bytes of the Python objects that index one substep's slots of a table
+#: chunk (two array views of about 190 B and a tuple), counted with the
+#: slots themselves in the chunk size
+SLOT_VIEW_BYTES = 512
+
 _THIRD = np.array(1.0 / 3.0)  # a 0-d array: see _increment
 
 
@@ -307,7 +312,7 @@ def _rk4(times, plan, y0, fill):
     tt[0], tt[1::2], tt[2::2] = times[0], (t0 + sub * h) + 0.5 * h, t0 + (sub + 1) * h
     tt[2 * ends] = times[1:]
     stack, dim = y0.shape[:2]
-    chunk = min(n, max(1, TABLE_BYTES // (2 * stack * dim * dim * 16)))
+    chunk = min(n, max(1, TABLE_BYTES // (2 * stack * dim * dim * 16 + SLOT_VIEW_BYTES)))
     table = np.empty((stack, 2 * chunk + 1, dim, dim), dtype=complex)
     # the start, midpoint and end slots of each substep of a chunk
     views = [table[:, j] for j in range(2 * chunk + 1)]
@@ -413,13 +418,21 @@ def _hermitian_generator(t, h, scale) -> float:
     Every sample must be Hermitian within 1e-10 of its norm (``NotHermitian``
     at the first time that is not).
     """
-    h_dag = adjoint(h)
-    norm, defect = stacked_fro(h), stacked_fro(h - h_dag)
+    # one work stack takes h† twice, as h − h† for the norm and then added to
+    # h, and is freed before the broadcast scale, which numpy buffers; h† is a
+    # transpose with its imaginary part negated, which numpy copies unbuffered
+    work = np.empty_like(h)
+    np.copyto(work, h.swapaxes(1, 2))
+    np.negative(work.imag, out=work.imag)
+    norm, defect = stacked_fro(h), stacked_fro(np.subtract(h, work, out=work))
     if (bad := defect > 1e-10 * norm).any():
         raise NotHermitian(
             f"sampled generator at t = {float(t[bad.argmax()])!r} is not Hermitian to tolerance"
         )
-    h += h_dag
+    np.copyto(work, h.swapaxes(1, 2))
+    np.negative(work.imag, out=work.imag)
+    h += work
+    del work
     h *= (-0.5j * scale)[:, None, None]
     rel = defect[norm > 0.0] / norm[norm > 0.0]
     return float(rel.max(initial=0.0))

@@ -662,8 +662,9 @@ def _trajectory(samples, dim, values):
     return StateTrajectory(floats[:, 0], c[:, :dim], c[:, dim:-1], c[:, -1], 0.0, zeros, 0.0)
 
 
-@pytest.mark.parametrize("samples, dim", [(1, 1), (3, 2), (1, 4)])
-def test_trajectory_writers_match_per_float_formatting(tmp_path, samples, dim):
+def _assert_writers_match(tmp_path, samples, dim):
+    """Both trajectory formats equal the whole text of per-float formatting
+    and ``json.dumps``."""
     traj = _trajectory(samples, dim, WRITER_FLOATS)
     drift = np.maximum.accumulate(np.abs(traj.overlap - traj.overlap[0]))
     pairs = lambda z: np.stack([z.real, z.imag], -1)
@@ -689,3 +690,51 @@ def test_trajectory_writers_match_per_float_formatting(tmp_path, samples, dim):
         "drift": drift.tolist(),
     }
     assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("samples, dim", [(1, 1), (3, 2), (1, 4)])
+def test_trajectory_writers_match_per_float_formatting(tmp_path, samples, dim):
+    _assert_writers_match(tmp_path, samples, dim)
+
+
+@pytest.mark.parametrize(
+    "piece_floats, samples, dim",
+    [
+        # pieces of one CSV row, two Φ entries and ten times
+        (10, 23, 2),
+        # a piece smaller than one row, and than one Φ entry
+        (3, 7, 2),
+        # the module's own piece size, two full times pieces and a partial one
+        (cli.PIECE_FLOATS, 2 * cli.PIECE_FLOATS + 3, 1),
+    ],
+)
+def test_writers_in_pieces_match_the_whole_text(
+    tmp_path, monkeypatch, piece_floats, samples, dim
+):
+    # a value cycle of 11 floats puts NaN and ±inf on both sides of every
+    # piece boundary of the JSON arrays
+    assert samples % piece_floats
+    monkeypatch.setattr(cli, "PIECE_FLOATS", piece_floats)
+    _assert_writers_match(tmp_path, samples, dim)
+    payload = {
+        "a": np.resize(SPECIAL_FLOATS, (samples, 3, 2)), "b": [np.resize(SPECIAL_FLOATS, 13)]
+    }
+    path = cli._write_json(tmp_path / "out.json", payload)
+    assert path.read_text() == json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_writer_memory_does_not_grow_with_the_samples(tmp_path, fmt):
+    # the whole text of 20 001 samples took 15 MiB (CSV) and 17 MiB (JSON)
+    peaks = []
+    for samples in (2001, 20001):
+        traj = _trajectory(samples, 2, WRITER_FLOATS + [np.nan, np.inf, -np.inf])
+        tracemalloc.start()
+        try:
+            with np.errstate(invalid="ignore"):
+                cli._write_trajectory(tmp_path / "traj", traj, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) < 512 * 1024, peaks

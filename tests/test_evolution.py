@@ -319,6 +319,28 @@ def test_crosscheck_at_dim_64():
     assert report.max_pairwise_deviation() <= 1e-7
 
 
+def test_doublet_operator_and_lower_case_propagators_at_dim_64():
+    # the acceptance tolerances of criteria 04 to 07 on a short grid
+    ham, fam, phi0, _ = scenario_random(64, 1)
+    grid = np.linspace(0.0, 0.01, 11)
+    pair = propagate_pair(ham, fam, phi0, None, grid, 1e-3)
+    covariant_drift = max(pair.max_norm_drift, pair.max_metric_drift)
+    assert covariant_drift <= 1e-8
+    naive = propagate_naive(ham, fam, phi0, None, grid, 1e-3)
+    assert naive.max_norm_drift <= 1e-8
+    assert naive.max_metric_drift >= 100.0 * covariant_drift
+    ops = evolution_operators(ham, fam, grid, 1e-3)
+    assert ops.max_product_drift <= 1e-8
+    assert np.abs(np.einsum("kij,j->ki", ops.u_right, phi0) - pair.phi).max() <= 1e-8
+    # the hermitized image is h₀ + t·h₁: the lower-case state pulls back to Φ
+    lower = propagate_h(
+        lambda t: hermitize(ham.evaluate(t), fam.omega(t)), fam.omega(0.0) @ phi0, grid, 1e-3
+    )
+    assert lower.max_norm_drift <= 1e-8
+    pulled_back = np.einsum("kij,kj->ki", fam.omega_inv(grid), lower.states)
+    assert np.linalg.norm(pulled_back - pair.phi, axis=1).max() <= 1e-7
+
+
 def test_rk4_work_states_start_on_64_byte_boundaries():
     states = evolution._aligned_states(3, (2, 64, 65))
     assert [s.ctypes.data % 64 for s in states] == [0, 0, 0]
@@ -654,9 +676,12 @@ def _traced_peak(run):
     return result, peak
 
 
-def test_step_operator_pair_memory_stays_within_chunk_budget():
-    ham, fam, phi0, _ = scenario_random(8, 0)
-    assert evolution._steps_by_operators((2, 8, 1))
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_step_operator_pair_memory_stays_within_chunk_budget(dim):
+    # at d = 2 a chunk holds 1000 substeps, and the views that index its
+    # slots counted outside the budget came to about 400 KiB more
+    ham, fam, phi0, _ = scenario_random(dim, 0)
+    assert evolution._steps_by_operators((2, dim, 1))
     grid = np.linspace(0.0, 1.0, 1001)
     fam.omega(0.0)  # the family keeps the powers of its generator from its first map
     traj, peak = _traced_peak(lambda: propagate_pair(ham, fam, phi0, None, grid, 1e-3))
@@ -679,6 +704,31 @@ def test_step_operators_add_nothing_to_the_crosscheck_peak(monkeypatch):
             lambda: crosscheck_pictures(ham, fam, phi0, grid, 1e-3)
         )
     assert peaks[8] < peaks[0] + 4096
+
+
+def test_crosscheck_memory_stays_at_its_pinned_peak():
+    # pinned where it stands, above 2·TABLE_BYTES: the lower-case fill holds
+    # a product Ω·h while Ω⁻¹ is evaluated over the same chunk of times
+    ham, fam, phi0, grid = scenario_random(4, 3)
+    crosscheck_pictures(ham, fam, phi0, grid, 1e-3)  # the family's cached powers
+    report, peak = _traced_peak(lambda: crosscheck_pictures(ham, fam, phi0, grid, 1e-3))
+    outputs = sum(
+        a.nbytes for a in (report.times, report.phi_pair, report.phi_lower, report.phi_operators)
+    )
+    assert peak < outputs + 600 * 1024
+
+
+def test_hermitian_generator_holds_one_work_stack():
+    rng = np.random.default_rng(5)
+    h = np.stack([_hermitian(rng, 4) for _ in range(512)])
+    h += 1e-14 * rng.standard_normal(h.shape)  # a defect to symmetrize away
+    t, scale = np.linspace(0.0, 1.0, 512), np.full(512, 5e-4)
+    expected = (h + evolution.adjoint(h)) * (-0.5j * scale)[:, None, None]
+    _, peak = _traced_peak(lambda: evolution._hermitian_generator(t, h, scale))
+    assert h.tobytes() == expected.tobytes()
+    # one work stack, freed before the scale's ufunc buffer: before, the
+    # conjugate copy of h, h − h† and a buffer made 3·h.nbytes
+    assert peak < 1.25 * h.nbytes
 
 
 def test_crosscheck_tabulates_maps_per_chunk(monkeypatch):

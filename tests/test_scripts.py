@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts, run as a user runs them."""
 
+import json
 import os
 import re
 import subprocess
@@ -46,3 +47,15 @@ def test_genericity_scan_prints_one_row_per_sampler():
         stats = qs_scan(sampler, 3, 3, 0)
         assert counts == [stats.compatible, stats.incompatible, stats.exceptional]
     assert lines[2].endswith("first violations: order 2: 3")
+
+
+def test_writer_memory_runs_both_trajectory_commands(tmp_path):
+    lines = _run("writer_memory.py", "--samples", "11", "--dim", "2", "--out", str(tmp_path))
+    assert lines[0] == "samples 11, dim 2, trajectory 0.0 MB"
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["evolve", "csv"], ["naive-evolve", "json"]]
+    assert all(float(row[2]) > 0.0 and float(row[3]) > 0.0 for row in rows)
+    # one header and one row per sample; the files are the CLI's own
+    assert len((tmp_path / "evolve" / "trajectory.csv").read_text().splitlines()) == 12
+    naive = json.loads((tmp_path / "naive-evolve" / "naive_trajectory.json").read_text())
+    assert len(naive["times"]) == 11
