@@ -531,11 +531,11 @@ def propagate_naive(
 def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
     """Propagate i∂ₜ|φ⟩ = h(t)|φ⟩ for a Hermitian matrix source.
 
-    ``phi0`` must match the dimension of h(t₀) (``DimensionMismatch``
-    otherwise).  Every sampled h(t) must be Hermitian within 1e-10 of its
-    norm (``NotHermitian`` otherwise); the tiny anti-Hermitian residual is
-    symmetrized away before stepping, so the Dirac norm is conserved up to
-    integrator error.  ``h_of_t`` is called once per generator time.
+    ``phi0`` and every later sample h(t) must match the dimension of h(t₀)
+    (``DimensionMismatch`` otherwise, naming the time).  Every sampled h(t)
+    must be Hermitian within 1e-10 of its norm (``NotHermitian`` otherwise);
+    the tiny anti-Hermitian residual is symmetrized away before stepping, so
+    the Dirac norm is conserved up to integrator error.  ``h_of_t`` is called once per generator time.
     """
     times, plan = _substep_plan(grid, step)
     first = [as_square_matrix(h_of_t(times[0]))]  # the table's first entry
@@ -547,7 +547,10 @@ def propagate_h(h_of_t, phi0, grid, step: float = 1e-3) -> VectorTrajectory:
         nonlocal worst_defect
         (h,) = out  # the samples go straight into the table, then become −i·scale·sym(h)
         for i, s in enumerate(t.tolist()):
-            h[i] = first.pop() if first else as_square_matrix(h_of_t(s))
+            sample = first.pop() if first else as_square_matrix(h_of_t(s))
+            if sample.shape != h.shape[1:]:
+                raise DimensionMismatch(f"h(t) at t = {s!r} has shape {sample.shape}, not {h.shape[1:]}")
+            h[i] = sample
         worst_defect = max(worst_defect, _hermitian_generator(t, h, scale))
 
     states = _rk4(times, plan, phi0[None, :, None], fill)[:, 0, :, 0]

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DefectiveMatrix,
+    DimensionMismatch,
     ExpectsRealSpectrum,
     PositivityFailure,
     checked,
@@ -193,7 +194,9 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
 
     scale = stacked_fro(m)
     threshold = tol_qs * scale
-    significant = np.abs(m) >= threshold[:, None, None]
+    # a zero entry is never significant, so that M = 0 (a zero H₁), where the
+    # threshold is 0, leaves every weight free
+    significant = (np.abs(m) >= threshold[:, None, None]) & (m != 0)
     pairs = (significant & ~np.eye(d, dtype=bool)).sum(axis=(1, 2))
     kappa_c = np.ones((n, d), dtype=complex)
     generic = np.flatnonzero(~failed & (pairs == d * (d - 1)))
@@ -249,25 +252,6 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     return outcomes
 
 
-def _certify_families(families, tol_qs: float) -> list:
-    """``qs_certify`` on each family: its certificate or the error it raises,
-    in order.  Families of one degree and dimension form one stack."""
-    outcomes: list = [None] * len(families)
-    groups: dict = {}
-    for i, family in enumerate(families):
-        groups.setdefault((family.degree, family.dim), []).append(i)
-    for (degree, _), members in groups.items():
-        if degree < 1:
-            error = ValueError("certification needs at least a linear coefficient")
-            stacked = [error] * len(members)
-        else:
-            coefficients = np.array([families[i].coefficients for i in members])
-            stacked = _certify_stack(coefficients, tol_qs)
-        for i, outcome in zip(members, stacked):
-            outcomes[i] = outcome
-    return outcomes
-
-
 def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     """Decide the orders 0-1 problem: one positive metric for both H₀ and H₁,
     as ``qs_certify`` of the degree-1 family (H₀, H₁).
@@ -295,7 +279,9 @@ def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -
     a ``tol_qs`` that is not a finite number > 0.
     """
     _check_tol(tol_qs)
-    return checked(_certify_families([hamiltonian], tol_qs)[0])
+    if hamiltonian.degree < 1:
+        raise ValueError("certification needs at least a linear coefficient")
+    return checked(_certify_stack(np.array([hamiltonian.coefficients]), tol_qs)[0])
 
 
 def _trial_rng(seed: int, i: int) -> np.random.Generator:
@@ -313,27 +299,24 @@ def qs_scan(
 ) -> ScanStats:
     """Certify ``trials`` independently sampled families and count outcomes.
 
-    ``sampler`` is a key of :data:`SAMPLERS`, looked up at call time, a
-    drawer with a ``degree`` like its values, or a callable ``(rng, dim) ->
-    TaylorHamiltonian``.  Trial i draws from the i-th child of
-    ``SeedSequence(seed)``, so trials are independent within a scan and
-    across seeds, and the whole scan is deterministic given the seed.
+    ``sampler`` is a key of :data:`SAMPLERS`, looked up at call time, or a
+    drawer like its values: ``draw(rngs, dim)`` with a ``degree`` ≥ 1 that
+    returns one coefficient stack (len(rngs), degree + 1, dim, dim) for all
+    its generators (``DimensionMismatch`` for any other shape).  Trial i
+    draws from the i-th child of ``SeedSequence(seed)``, so trials are
+    independent within a scan and across seeds, and the whole scan is
+    deterministic given the seed.  The drawer is called once per stack of
+    trials whose coefficients fill ``SCAN_BYTES``, and its error
+    (``ResampleExhausted``) is raised before that stack is certified.
     Decomposition failures, non-real spectra and metric candidates that are
     not positive definite (as near an exceptional point) count as
-    exceptional; any other error ``qs_certify`` raises for a trial is
-    raised.  Trials are sampled until their coefficients fill
-    ``SCAN_BYTES`` and then certified as one stack, with the counts and
-    errors of certifying them one by one.
+    exceptional; any other error ``qs_certify`` raises for a trial is raised.
 
-    A drawer is called once per stack, with the generators of its trials;
-    its error (``ResampleExhausted``) is raised before that stack is
-    certified.  A built-in drawer gives the families and streams of its
-    public ``sample_*``.  Any other callable is called once per trial, and
-    its error surfaces after the errors of the trials drawn before it.  An
-    unknown name, ``trials`` above ``MAX_TRIALS``, ``dim`` < 1 and a
-    ``tol_qs`` that is not a finite number > 0 raise ``ValueError`` before
-    any sampling.  The built-in samplers plant spectra 0.1 apart in [−2, 2]
-    and raise ``ValueError`` for ``dim`` > 40, where no such spectrum exists.
+    Any other sampler, an unknown name, ``trials`` above ``MAX_TRIALS``,
+    ``dim`` < 1 and a ``tol_qs`` that is not a finite number > 0 raise
+    ``ValueError`` before any sampling.  The built-in samplers plant spectra
+    0.1 apart in [−2, 2] and raise ``ValueError`` for ``dim`` > 40, where no
+    such spectrum exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -346,11 +329,21 @@ def qs_scan(
         if sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {sampler!r}; one of {', '.join(sorted(SAMPLERS))}")
         sampler = SAMPLERS[sampler]
+    degree = getattr(sampler, "degree", None)
+    if not (callable(sampler) and isinstance(degree, int) and degree >= 1):
+        raise ValueError(
+            f"a sampler is a name of SAMPLERS or a drawer with a degree >= 1, got {sampler!r}"
+        )
     counts = {"compatible": 0, "incompatible": 0, "exceptional": 0}
     violation_orders: dict[int, int] = {}
-
-    def count(outcomes):
-        for outcome in outcomes:
+    per_stack = -(-SCAN_BYTES // (16 * (degree + 1) * dim * dim))
+    for start in range(0, trials, per_stack):
+        rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_stack, trials))]
+        stack = sampler(rngs, dim)
+        shape = (len(rngs), degree + 1, dim, dim)
+        if np.shape(stack) != shape:
+            raise DimensionMismatch(f"the drawer gave a stack of shape {np.shape(stack)}, not {shape}")
+        for outcome in _certify_stack(as_square_stack(stack), tol_qs):
             if isinstance(outcome, (DefectiveMatrix, ExpectsRealSpectrum, PositivityFailure)):
                 counts["exceptional"] += 1
                 continue
@@ -360,23 +353,4 @@ def qs_scan(
                 violation_orders[cert.first_violation_order] = (
                     violation_orders.get(cert.first_violation_order, 0) + 1
                 )
-
-    if hasattr(sampler, "degree"):
-        # as many trials as the per-trial path takes to fill SCAN_BYTES
-        per_stack = -(-SCAN_BYTES // (16 * (sampler.degree + 1) * dim * dim))
-        for start in range(0, trials, per_stack):
-            rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_stack, trials))]
-            count(_certify_stack(as_square_stack(sampler(rngs, dim)), tol_qs))
-    else:
-        families, size = [], 0
-        try:
-            for i in range(trials):
-                family = sampler(_trial_rng(seed, i), dim)
-                families.append(family)
-                size += 16 * (family.degree + 1) * family.dim**2
-                if size >= SCAN_BYTES:
-                    chunk, families, size = families, [], 0
-                    count(_certify_families(chunk, tol_qs))
-        finally:
-            count(_certify_families(families, tol_qs))
     return ScanStats(trials=trials, dim=dim, seed=seed, violation_orders=violation_orders, **counts)

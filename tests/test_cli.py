@@ -256,6 +256,18 @@ def test_qs_check_hermitian_inputs(tmp_path):
     npt.assert_allclose(payload["kappa"], [1.0, 1.0], atol=1e-9)
 
 
+def test_qs_check_with_a_zero_linear_coefficient_gives_the_order_2_verdict(tmp_path):
+    # a zero H₁ used to end the run with exit 1 on a 0/0 weight ratio
+    h0 = [[1, 2], [0, -1]]  # non-normal, real spectrum
+    cfg_path = _write(tmp_path, "qs.json", {
+        "command": "qs-check", "model": {"taylor": [h0, [[0, 0], [0, 0]], [[0, 1], [1, 0]]]},
+    })
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert (payload["status"], payload["first_violation_order"]) == ("incompatible", 2)
+    assert payload["kappa"] == [1.0, 1.0]
+
+
 def test_qs_scan_seed_override(tmp_path):
     cfg_path = _write(
         tmp_path,

@@ -204,6 +204,17 @@ def test_propagate_h_rejects_non_hermitian():
         propagate_h(lambda t: h, np.array([1.0, 0.0]), GRID, 1e-2)
 
 
+@pytest.mark.parametrize("later", [1, 3])
+def test_propagate_h_rejects_a_later_sample_of_another_dimension(later):
+    # a 1×1 sample used to be broadcast into the 2×2 table slot, and a 3×3 one
+    # failed in numpy's untyped broadcast
+    def h_of_t(t):
+        return np.eye(2 if t < 0.5 else later)
+
+    with pytest.raises(DimensionMismatch, match=rf"at t = 0\.5\d* has shape \({later}, {later}\)"):
+        propagate_h(h_of_t, np.array([1.0, 0.0]), GRID, 1e-2)
+
+
 def test_propagate_h_hermitized_samples_conserve_norm():
     ham, fam, phi0, grid = scenario_random(4, 1)
 

@@ -29,7 +29,7 @@ from cryptoherm.linalg import (
     stacked_fro,
 )
 from cryptoherm.models import model_2x2, random_cryptohermitian, sample_independent, sample_shared
-from cryptoherm.quasistationary import _certify_families, qs_certify
+from cryptoherm.quasistationary import _certify_stack, qs_certify
 
 
 def test_decompose_hermitian_diagonal():
@@ -365,7 +365,7 @@ def test_certification_factorizes_only_the_two_eigenvector_gates(factorizations)
     qs_certify(families[0])
     assert factorizations == {"svd": 2, "inv": 2}
     factorizations.clear()
-    _certify_families(families, 1e-8)
+    _certify_stack(np.array([family.coefficients for family in families]), 1e-8)
     assert factorizations == {"svd": 2, "inv": 2}
 
 

@@ -38,7 +38,7 @@ from cryptoherm.models import _planted_spectra, model_2x2
 from cryptoherm.quasistationary import (
     MAX_TRIALS,
     SAMPLERS,
-    _certify_families,
+    _certify_stack,
     _solve_weights,
     _trial_rng,
 )
@@ -64,6 +64,16 @@ def _metric_compatible_pair(seed, n):
     h0 = root_inv @ _hermitian(rng, n) @ root
     h1 = root_inv @ _hermitian(rng, n) @ root
     return h0, h1, theta
+
+
+def _drawer(sample, degree=1):
+    """A drawer for ``qs_scan``: the families ``sample(rng, dim)`` draws, one
+    generator at a time, as one coefficient stack."""
+    def draw(rngs, dim):
+        return np.array([sample(rng, dim).coefficients for rng in rngs])
+
+    draw.degree = degree
+    return draw
 
 
 def test_hermitian_pair_fixed_point():
@@ -171,6 +181,24 @@ def test_scaling_invariance(c, seed):
 def test_certify_requires_linear_coefficient():
     with pytest.raises(ValueError):
         qs_certify(TaylorHamiltonian((np.eye(2, dtype=complex),)))
+
+
+def test_a_zero_linear_coefficient_leaves_every_weight_free():
+    # M = L₀†·0·R₀ = 0 made the significance threshold 0, and the weight
+    # step divided 0/0; a non-normal H₀ keeps a non-trivial metric in play
+    h0 = random_cryptohermitian(4, [-1.0, 0.0, 0.5, 1.5], seed=3)
+    assert norm_fro(h0 @ h0.conj().T - h0.conj().T @ h0) > 1.0
+    zero = np.zeros((4, 4))
+    cert = qs_certify(TaylorHamiltonian((h0, zero)))
+    assert cert.status == "compatible" and (cert.kappa == 1.0).all()
+    assert cert.residuals[1] == 0.0
+    h2 = np.random.default_rng(1).standard_normal((4, 4))
+    cert = qs_certify(TaylorHamiltonian((h0, zero, h2)))
+    assert (cert.status, cert.first_violation_order) == ("incompatible", 2)
+    assert cert.residuals[1] == 0.0 and cert.residuals[2] > 1e-8
+    # the order-2 verdict is the one Θ of (H₀, 0) gives H₂
+    theta = qs_certify(TaylorHamiltonian((h0, zero))).metric.matrix
+    assert cert.residuals[2] == stationarity_residual(h2, theta)
 
 
 def test_certify_degree2_extension_violates_at_order_2():
@@ -289,7 +317,7 @@ def test_scan_counts_a_non_positive_metric_near_the_exceptional_point_as_excepti
     family = TaylorHamiltonian((h, np.diag([1.0, 2.0]).astype(complex)))
     with pytest.raises(PositivityFailure):
         qs_certify(family)
-    stats = qs_scan(lambda rng, dim: family, 3, 2, 0)
+    stats = qs_scan(_drawer(lambda rng, dim: family), 3, 2, 0)
     assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 0, 3)
 
 
@@ -324,7 +352,7 @@ def test_scan_counts_and_determinism():
     assert stats_a == stats_b
     assert stats_a.compatible == 5
 
-    single = qs_scan(sample_shared, 1, 4, seed=0)
+    single = qs_scan(SAMPLERS["shared"], 1, 4, seed=0)
     assert single.compatible == 1
     flat = single.as_flat_dict()
     assert flat["trials"] == 1 and flat["compatible"] == 1
@@ -471,7 +499,8 @@ def test_mixed_pattern_trial_in_a_stack_equals_a_standalone_certificate():
     m = _overlap_condition_matrix(families[1])
     significant = (np.abs(m) >= 1e-8 * np.linalg.norm(m)) & ~np.eye(4, dtype=bool)
     assert 0 < significant.sum() < 12
-    for family, outcome in zip(families, _certify_families(families, 1e-8)):
+    stack = np.array([family.coefficients for family in families])
+    for family, outcome in zip(families, _certify_stack(stack, 1e-8)):
         _same_certificate(outcome, qs_certify(family))
 
 
@@ -536,53 +565,6 @@ def test_stationarity_residual_broadcasts_over_stacks():
     assert isinstance(stationarity_residual(hs[0, 0], thetas[0]), float)
 
 
-def test_custom_sampler_with_mixed_degrees_and_dimensions():
-    def sampler(rng, dim):
-        degree2 = rng.integers(2)
-        family = (sample_shared_degree2 if degree2 else sample_independent)(rng, dim)
-        return family if rng.integers(3) else sample_shared(rng, dim + 1)
-
-    stats = qs_scan(sampler, 45, 3, 17)
-    assert stats == _reference_scan(sampler, 45, 3, 17)
-    assert stats.compatible and stats.incompatible and stats.violation_orders
-
-
-def _sampler_of(outcomes):
-    """A sampler whose trial i returns a shared family, a degree-0 family or
-    raises, as ``outcomes[i]`` is "ok", "constant" or "raise"."""
-    def sampler(rng, dim):
-        kind = outcomes[len(drawn)]
-        drawn.append(kind)
-        if kind == "raise":
-            raise RuntimeError("sampler failed")
-        if kind == "constant":
-            return TaylorHamiltonian((np.eye(dim, dtype=complex),))
-        return sample_shared(rng, dim)
-
-    drawn = []
-    return sampler, drawn
-
-
-def test_scan_raises_the_first_trial_error_in_trial_order(monkeypatch):
-    # trial 1 cannot be certified, and one trial at a time its error comes
-    # before trial 2 is drawn
-    sampler, drawn = _sampler_of(["ok", "constant", "raise"])
-    with pytest.raises(ValueError, match="linear coefficient"):
-        qs_scan(sampler, 3, 2, 0)
-    sampler, drawn = _sampler_of(["ok", "ok", "raise", "constant"])
-    with pytest.raises(RuntimeError, match="sampler failed"):
-        qs_scan(sampler, 4, 2, 0)
-    assert drawn == ["ok", "ok", "raise"]
-    # 128 coefficient bytes a linear trial and 64 the degree-0 one: the second
-    # stack, which holds the latter, fills at trial 16 and is certified
-    # before trial 17 is drawn
-    monkeypatch.setattr(quasistationary, "SCAN_BYTES", 1024)
-    sampler, drawn = _sampler_of(["ok"] * 8 + ["constant"] + ["ok"] * 8 + ["raise"])
-    with pytest.raises(ValueError, match="linear coefficient"):
-        qs_scan(sampler, 18, 2, 0)
-    assert len(drawn) == 17
-
-
 def test_scan_memory_does_not_grow_with_trials(monkeypatch):
     # 3 KiB of coefficients a trial: 400 trials hold 1.2 MiB, a stack 32 KiB
     monkeypatch.setattr(quasistationary, "SCAN_BYTES", 32 * 1024)
@@ -599,7 +581,7 @@ def test_scan_memory_does_not_grow_with_trials(monkeypatch):
 def test_trials_cap_raises_before_sampling():
     calls = []
     with pytest.raises(ValueError, match="cap"):
-        qs_scan(lambda rng, dim: calls.append(dim), MAX_TRIALS + 1, 3, 0)
+        qs_scan(_drawer(lambda rng, dim: calls.append(dim)), MAX_TRIALS + 1, 3, 0)
     assert calls == []
 
 
@@ -610,7 +592,7 @@ def test_scans_at_neighbouring_seeds_share_no_family():
             families.append(sample_shared(rng, dim))
             return families[-1]
 
-        qs_scan(sampler, 10, 4, seed)
+        qs_scan(_drawer(sampler), 10, 4, seed)
     assert all(len(families) == 10 for families in drawn.values())
     for a in drawn[5]:
         for b in drawn[6]:
@@ -673,7 +655,7 @@ def test_named_scan_equals_one_certificate_per_sampled_trial(monkeypatch, name):
         for seed in (0, 7, 2008):
             stats = qs_scan(name, trials, dim, seed)
             assert stats == _reference_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
-            assert stats == qs_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
+            assert stats == qs_scan(_drawer(PUBLIC_SAMPLERS[name], degree), trials, dim, seed)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -690,7 +672,7 @@ def test_a_named_scan_calls_the_registered_drawer_once_per_stack(monkeypatch, na
     dim, trials, seed = 4, 10, 7
     expected = qs_scan(name, trials, dim, seed)
     assert expected == qs_scan(draw, trials, dim, seed)
-    assert expected == qs_scan(PUBLIC_SAMPLERS[name], trials, dim, seed)
+    assert expected == qs_scan(_drawer(PUBLIC_SAMPLERS[name], draw.degree), trials, dim, seed)
     monkeypatch.setattr(quasistationary, "SCAN_BYTES", 4 * 16 * (draw.degree + 1) * dim**2)
     monkeypatch.setitem(quasistationary.SAMPLERS, name, counted)
     assert qs_scan(name, trials, dim, seed) == expected
@@ -704,6 +686,29 @@ def test_an_unknown_sampler_name_raises_before_sampling(monkeypatch):
     monkeypatch.setattr(quasistationary, "_trial_rng", unreachable)
     with pytest.raises(ValueError, match="'bogus'; one of independent, shared, shared-degree2"):
         qs_scan("bogus", 10, 4, 0)
+
+
+def test_a_sampler_that_is_no_drawer_raises_before_sampling(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(quasistationary, "_trial_rng", unreachable)
+    constant = _drawer(lambda rng, dim: TaylorHamiltonian((np.eye(dim),)), degree=0)
+    for sampler in (lambda rng, dim: sample_shared(rng, dim), sample_shared, constant):
+        with pytest.raises(ValueError, match="a drawer with a degree >= 1"):
+            qs_scan(sampler, 10, 4, 0)
+
+
+def test_a_wrongly_shaped_stack_raises():
+    # a stack of another dimension or degree, or one family too few
+    for sample, degree in ((sample_shared, 2), (sample_shared_degree2, 1)):
+        with pytest.raises(DimensionMismatch, match=r"not \(3, [23], 4, 4\)"):
+            qs_scan(_drawer(sample, degree), 3, 4, 0)
+    draw = SAMPLERS["shared"]
+    for wrong in (lambda rngs, dim: draw(rngs, dim + 1), lambda rngs, dim: draw(rngs[1:], dim)):
+        wrong.degree = 1
+        with pytest.raises(DimensionMismatch, match=r"not \(3, 2, 4, 4\)"):
+            qs_scan(wrong, 3, 4, 0)
 
 
 def test_an_unreachable_cap_raises_after_at_most_100_rounds(monkeypatch):
@@ -728,7 +733,7 @@ def test_an_unreachable_cap_raises_after_at_most_100_rounds(monkeypatch):
 
 
 def test_scan_rejects_an_empty_dimension_before_sampling():
-    for sampler in ("shared", sample_shared):
+    for sampler in ("shared", SAMPLERS["shared"]):
         with pytest.raises(ValueError, match="dimension"):
             qs_scan(sampler, 3, 0, 0)
 
@@ -743,7 +748,7 @@ def test_a_tolerance_that_is_not_finite_and_positive_raises(tol):
     with pytest.raises(ValueError, match="tol_qs"):
         qs_solve(*family.coefficients[:2], tol)
     calls = []
-    for sampler in ("independent", lambda rng, dim: calls.append(dim)):
+    for sampler in ("independent", _drawer(lambda rng, dim: calls.append(dim))):
         with pytest.raises(ValueError, match="tol_qs"):
             qs_scan(sampler, 20, 4, 0, tol)
     assert calls == []
