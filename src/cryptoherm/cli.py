@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import orjson
 
 from . import evolution, models, quasistationary
 from .errors import (
@@ -361,9 +362,9 @@ def _pairs(array) -> np.ndarray:
 
 
 def _json_template(shape, level: int) -> str:
-    """The ``%r`` template that ``json.dumps(indent=2)`` writes a float array
-    of ``shape`` by at nesting ``level``."""
-    template = "%r"
+    """The ``%s`` template that ``json.dumps(indent=2)`` writes a float array
+    of ``shape`` by at nesting ``level``, one ``%s`` per spelled float."""
+    template = "%s"
     for axis in reversed(range(len(shape))):
         if shape[axis] == 0:
             template = "[]"
@@ -374,15 +375,33 @@ def _json_template(shape, level: int) -> str:
     return template
 
 
+def _json_floats(block: np.ndarray) -> tuple:
+    """``repr`` of every float of ``block`` in row-major order.
+
+    orjson's shortest round-trip digits are repr's, and both spell ±0 and
+    1e-4 ≤ |x| < 1e16 alike; outside that range orjson writes ``1e-5`` and
+    ``1e16`` where repr writes ``1e-05`` and ``1e+16``, and NaN and ±inf as
+    ``null``, so repr respells those entries alone."""
+    flat = np.ascontiguousarray(block).ravel()
+    if not flat.size:
+        return ()
+    words = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    size = np.abs(flat)
+    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (flat != 0))
+    for i, x in zip(odd.tolist(), flat[odd].tolist()):
+        words[i] = repr(x)
+    return tuple(words)
+
+
 def _json_blocks(blocks, level: int):
     """Pieces of the JSON text of a float array, given as consecutive blocks
-    along its leading axis, at nesting ``level``: each block fills one ``%r``
-    template with all its floats at once."""
+    along its leading axis, at nesting ``level``: each block fills one ``%s``
+    template with the spellings of all its floats at once."""
     pad = "\n" + "  " * (level + 1)
     separator = "[" + pad
     for block in blocks:
         entry = _json_template(block.shape[1:], level + 1)
-        text = ("," + pad).join([entry] * len(block)) % tuple(block.ravel().tolist())
+        text = ("," + pad).join([entry] * len(block)) % _json_floats(block)
         if not np.isfinite(block).all():
             # JSON's spelling of the floats repr writes as nan, inf and -inf
             text = text.replace("nan", "NaN").replace("inf", "Infinity")

@@ -11,6 +11,7 @@ package takes comes from ``invert_stack``, whose one SVD is also its gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,23 +59,40 @@ def as_state(vector, dim: int) -> np.ndarray:
     return v
 
 
+def _sum_of_squares(flat: np.ndarray) -> np.ndarray:
+    """Σ|x|² of each row of a stack (n, 1, m): one BLAS dot of the real parts
+    plus one of the imaginary parts (one dot for a real stack)."""
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return sum(p @ p.swapaxes(-1, -2) for p in parts)[:, 0, 0]
+
+
 def stacked_fro(matrices) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (..., d, d).
 
     Each matrix is summed as ``np.linalg.norm`` sums it: in memory order
     (row- or column-major), as one BLAS dot of the real parts plus one of the
     imaginary parts (one dot for a real matrix), so an entry equals
-    ``np.linalg.norm`` of its matrix bit for bit.
+    ``np.linalg.norm`` of its matrix bit for bit.  Where that sum of squares
+    overflows or falls below the normal range, the matrix is summed again
+    scaled by the power of two that brings its largest entry into [½, 1),
+    and the root is scaled back, both exactly.
     """
     a = np.asarray(matrices)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
     if a.strides[-2] < a.strides[-1]:  # column-major matrices
         a = a.swapaxes(-1, -2)
-    flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (1, a.shape[-2] * a.shape[-1]))
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    squares = sum(p @ p.swapaxes(-1, -2) for p in parts)
-    return np.sqrt(squares[..., 0, 0])
+    flat = np.ascontiguousarray(a).reshape(math.prod(a.shape[:-2]), 1, a.shape[-2] * a.shape[-1])
+    with np.errstate(over="ignore"):
+        squares = _sum_of_squares(flat)
+    norms = np.sqrt(squares)
+    redo = np.flatnonzero(~((squares >= np.finfo(squares.dtype).tiny) & (squares < np.inf)))
+    if redo.size:
+        exponent = np.frexp(np.abs(flat[redo]).max(axis=(1, 2), initial=0.0))[1]
+        # the scaled copy keeps the memory layout, so each dot runs as above
+        scaled = np.ldexp(flat[redo].view(a.real.dtype), -exponent[:, None, None])
+        norms[redo] = np.ldexp(np.sqrt(_sum_of_squares(scaled.view(a.dtype))), exponent)
+    return norms.reshape(a.shape[:-2])
 
 
 def norm_fro(matrix) -> float:

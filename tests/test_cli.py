@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, artifacts, exit codes."""
 
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cryptoherm import biorthogonal_decompose, cli, models, quasistationary
 from cryptoherm.cli import COMMANDS, main, parse_config, run
@@ -569,6 +572,38 @@ SPECIAL_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324, 0
     ],
 )
 def test_json_writer_matches_json_dumps(tmp_path, payload):
+    path = cli._write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+#: where orjson's spelling leaves repr's: its exponents from below 1e-4 and
+#: from 1e16 on, and the neighbours on both sides of those bounds
+SPELLING_EDGES = [
+    np.nextafter(bound, toward)
+    for bound in (1e-4, -1e-4, 1e16, -1e16)
+    for toward in (-np.inf, bound, np.inf)
+]
+
+
+@st.composite
+def _float_arrays(draw):
+    n, r, c = draw(st.integers(0, 40)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    shape = draw(st.sampled_from([(n,), (n, 2), (r, c, 2)]))
+    # any bit pattern: subnormals, ±0, NaN with any payload and ±inf included
+    floats = st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64)),
+        st.sampled_from(SPELLING_EDGES + [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]),
+    )
+    values = draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(array=_float_arrays())
+def test_json_float_spelling_is_json_dumps(tmp_path, array):
+    payload = {"array": array, "nested": [array]}
     path = cli._write_json(tmp_path / "out.json", payload)
     expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode()

@@ -269,6 +269,19 @@ def test_stacked_fro_sums_as_numpy_norm(layout):
         assert np.array_equal(stacked_fro(stack.reshape(2, 3, d, d)), norms.reshape(2, 3))
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_stacked_fro_scales_by_powers_of_two_outside_the_normal_range(real):
+    # the sums of squares underflow to 0 at 2**-600 and overflow at 2**600;
+    # a power of two scales the norm exactly
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    a = a.real.copy() if real else a
+    assert np.array_equal(stacked_fro(2.0**-600 * a), 2.0**-600 * stacked_fro(a))
+    assert np.isfinite(stacked_fro(2.0**600 * a)).all()
+    assert np.array_equal(stacked_fro(2.0**600 * a), 2.0**600 * stacked_fro(a))
+    assert norm_fro(2.0**-600 * a[0]) == 2.0**-600 * norm_fro(a[0])
+
+
 # ---------------------------------------------------------------------------
 # one SVD gates every inverse, and each matrix is factorized once
 # ---------------------------------------------------------------------------

@@ -201,6 +201,16 @@ def test_a_zero_linear_coefficient_leaves_every_weight_free():
     assert cert.residuals[2] == stationarity_residual(h2, theta)
 
 
+def test_a_linear_coefficient_far_from_unit_scale_keeps_the_verdict():
+    # ‖M‖'s sum of squares underflowed to 0 at 1e-200, so every rounding-level
+    # entry of M counted as significant; at 1e-300 a divide overflowed, and
+    # from 1e160 on the sums of squares overflowed
+    h0 = random_cryptohermitian(4, [-1.0, 0.0, 0.5, 1.5], seed=3)
+    for scale in (1e-300, 1e-200, 1e160, 1e300):
+        cert = qs_certify(TaylorHamiltonian((h0, scale * h0)))
+        assert cert.status == "compatible", (scale, cert.detail)
+
+
 def test_certify_degree2_extension_violates_at_order_2():
     rng = np.random.default_rng(11)
     ham = sample_shared_degree2(rng, 4)
