@@ -375,13 +375,18 @@ def _json_template(shape, level: int) -> str:
     return template
 
 
+#: JSON's spelling of the floats repr writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_floats(block: np.ndarray) -> tuple:
-    """``repr`` of every float of ``block`` in row-major order.
+    """``json.dumps`` of every float of ``block`` in row-major order: repr,
+    with ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite.
 
     orjson's shortest round-trip digits are repr's, and both spell ±0 and
     1e-4 ≤ |x| < 1e16 alike; outside that range orjson writes ``1e-5`` and
     ``1e16`` where repr writes ``1e-05`` and ``1e+16``, and NaN and ±inf as
-    ``null``, so repr respells those entries alone."""
+    ``null``, so those entries alone are respelled."""
     flat = np.ascontiguousarray(block).ravel()
     if not flat.size:
         return ()
@@ -389,7 +394,8 @@ def _json_floats(block: np.ndarray) -> tuple:
     size = np.abs(flat)
     odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (flat != 0))
     for i, x in zip(odd.tolist(), flat[odd].tolist()):
-        words[i] = repr(x)
+        word = repr(x)
+        words[i] = _NON_FINITE.get(word, word)
     return tuple(words)
 
 
@@ -401,11 +407,7 @@ def _json_blocks(blocks, level: int):
     separator = "[" + pad
     for block in blocks:
         entry = _json_template(block.shape[1:], level + 1)
-        text = ("," + pad).join([entry] * len(block)) % _json_floats(block)
-        if not np.isfinite(block).all():
-            # JSON's spelling of the floats repr writes as nan, inf and -inf
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        yield separator + text
+        yield separator + ("," + pad).join([entry] * len(block)) % _json_floats(block)
         separator = "," + pad
     yield "[]" if separator[0] == "[" else "\n" + "  " * level + "]"
 

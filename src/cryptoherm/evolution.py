@@ -100,9 +100,7 @@ class TaylorHamiltonian:
         return self.coefficients[0].shape[0]
 
     def evaluate(self, t: float) -> np.ndarray:
-        acc = self.coefficients[-1]
-        if len(self.coefficients) == 1:
-            return acc.copy()
+        acc = self.coefficients[-1].copy()
         for c in reversed(self.coefficients[:-1]):
             acc = c + t * acc
         return acc
@@ -263,15 +261,12 @@ def _step_operators(table, h, h_start):
     b1, k, tmp = _aligned_states(3, (stack, part, dim, dim))
     eye = np.eye(dim, dtype=complex)
     ratio = h / np.concatenate(([h_start], h[:-1]))
-    rescale = (ratio != 1.0).any()
     for a in range(0, h.size, part):
         c = min(part, h.size - a)
         start, mid, end = (table[:, 2 * a + j : 2 * (a + c) + j : 2] for j in range(3))
         acc, kc, tc = (w[:, :c] for w in (b1, k, tmp))
-        if rescale:  # both parts of each start slot times its real ratio
-            np.multiply(start.view(float), ratio[a : a + c, None, None], out=acc.view(float))
-        else:
-            np.copyto(acc, start)
+        # both parts of each start slot times its real ratio, 1.0 where h holds
+        np.multiply(start.view(float), ratio[a : a + c, None, None], out=acc.view(float))
         _increment(acc, mid, end, eye, kc, tc, acc.view(float))
         np.copyto(mid, acc)
 
@@ -576,9 +571,9 @@ def evolution_operators(
     eye = np.broadcast_to(np.eye(hamiltonian.dim, dtype=complex), (2,) + (hamiltonian.dim,) * 2)
     ops = _rk4(times, plan, eye, _taylor_fill(hamiltonian, family, (True,)))
     u_right, u_left_dag = ops[:, 0], ops[:, 1]
-    product0 = adjoint(u_left_dag[0]) @ u_right[0]
+    # U_L(0)U_R(0) is the identity exactly: both start from it
     residual = np.concatenate([
-        stacked_fro(adjoint(u_left_dag[sl]) @ u_right[sl] - product0)
+        stacked_fro(adjoint(u_left_dag[sl]) @ u_right[sl] - np.eye(hamiltonian.dim))
         for sl in _map_slices(times.size, hamiltonian.dim)
     ])
     return OperatorTrajectory(times, u_right, u_left_dag, residual, float(residual.max()))

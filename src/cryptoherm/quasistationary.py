@@ -127,24 +127,15 @@ def _complex_spectra(eigenvalues, label: str) -> list:
     ]
 
 
-def _solve_weights(m: np.ndarray, threshold: float):
-    """Positive-diagonal congruence solve for T·M = M†·T.
+def _solve_weights(m: np.ndarray, significant: np.ndarray) -> np.ndarray:
+    """Positive-diagonal congruence solve for T·M = M†·T over a symmetric
+    mask of significant entries.
 
-    Entry pairs with one magnitude above the significance threshold and the
-    partner below it admit no positive solution through any ratio; they are
-    reported as the exceptional (fine-tuned) stratum.  Insignificant pairs
-    leave the weights decoupled; every connected component is seeded with
-    weight 1 in index order, which pins κ₁ = 1.
+    Each significant pair fixes κ_k = κ_j·M_jk / M*_kj; insignificant pairs
+    leave the weights decoupled, and every connected component is seeded
+    with weight 1 in index order, which pins κ₁ = 1.
     """
     n = m.shape[0]
-    significant = np.abs(m) >= threshold
-    for j in range(n):
-        for k in range(j + 1, n):
-            if significant[j, k] != significant[k, j]:
-                return None, (
-                    f"one-sided overlap pattern at entries ({j}, {k}): "
-                    "weight ratios are not determined by a generic solve"
-                )
     kappa = np.zeros(n, dtype=complex)
     known = np.zeros(n, dtype=bool)
     for root in range(n):
@@ -155,14 +146,11 @@ def _solve_weights(m: np.ndarray, threshold: float):
         queue = [root]
         while queue:
             j = queue.pop(0)
-            for k in range(n):
-                if known[k] or k == j:
-                    continue
-                if significant[j, k] and significant[k, j]:
-                    kappa[k] = kappa[j] * m[j, k] / np.conj(m[k, j])
-                    known[k] = True
-                    queue.append(k)
-    return kappa, None
+            for k in np.flatnonzero(significant[j] & ~known).tolist():
+                kappa[k] = kappa[j] * m[j, k] / np.conj(m[k, j])
+                known[k] = True
+                queue.append(k)
+    return kappa
 
 
 def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
@@ -173,9 +161,10 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     residuals of every order are computed for the whole stack at once; H₁'s
     decomposition only gates its basis and spectrum.  The weights take one
     vectorized step where every off-diagonal pair of M is significant
-    (κ_k = M₀ₖ / M*ₖ₀) or none is (κ = 1); other patterns go through
-    ``_solve_weights``.  Rows that fail a gate get garbage in the later
-    stacked steps, which is never read.
+    (κ_k = M₀ₖ / M*ₖ₀) or none is (κ = 1); a pattern with a one-sided pair
+    is exceptional, and the other patterns go through ``_solve_weights``.
+    Rows that fail a gate get garbage in the later stacked steps, which is
+    never read.
     """
     n, d = coefficients.shape[0], coefficients.shape[-1]
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
@@ -190,23 +179,35 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
         )
     ]
     failed = np.array([o is not None for o in outcomes])
-    m = adjoint(sys0.left_vectors) @ coefficients[:, 1] @ sys0.right_vectors
+    # H₁ times the power of two 2⁻ᵉ that brings its largest real or imaginary
+    # part into [½, 1): exact, so κ and every decision keep their bits, while
+    # a subnormal H₁ no longer underflows the threshold or overflows a ratio
+    h1 = coefficients[:, 1].view(float)
+    e = np.frexp(np.abs(h1).max(axis=(1, 2)))[1]
+    h1 = np.ldexp(h1, -e[:, None, None]).view(complex)
+    m = adjoint(sys0.left_vectors) @ h1 @ sys0.right_vectors
 
     scale = stacked_fro(m)
     threshold = tol_qs * scale
     # a zero entry is never significant, so that M = 0 (a zero H₁), where the
     # threshold is 0, leaves every weight free
     significant = (np.abs(m) >= threshold[:, None, None]) & (m != 0)
+    # a pair with one entry significant and its partner not admits no
+    # positive ratio: the first such (j, k) in row-major order is reported
+    one_sided = np.triu(significant != significant.swapaxes(1, 2)).reshape(n, d * d)
+    exceptional = ~failed & one_sided.any(axis=1)
+    for i in np.flatnonzero(exceptional):
+        j, k = divmod(int(one_sided[i].argmax()), d)
+        outcomes[i] = QSCertificate("exceptional", detail=(
+            f"one-sided overlap pattern at entries ({j}, {k}): "
+            "weight ratios are not determined by a generic solve"
+        ))
     pairs = (significant & ~np.eye(d, dtype=bool)).sum(axis=(1, 2))
     kappa_c = np.ones((n, d), dtype=complex)
     generic = np.flatnonzero(~failed & (pairs == d * (d - 1)))
     kappa_c[generic, 1:] = kappa_c[generic, :1] * m[generic, 0, 1:] / m[generic, 1:, 0].conj()
-    for i in np.flatnonzero(~failed & (pairs > 0) & (pairs < d * (d - 1))):
-        kappa_i, detail = _solve_weights(m[i], threshold[i])
-        if kappa_i is None:
-            outcomes[i] = QSCertificate("exceptional", detail=detail)
-        else:
-            kappa_c[i] = kappa_i
+    for i in np.flatnonzero(~failed & ~exceptional & (pairs > 0) & (pairs < d * (d - 1))):
+        kappa_c[i] = _solve_weights(m[i], significant[i])
 
     worst_imag = np.abs(kappa_c.imag).max(axis=1)
     min_real = kappa_c.real.min(axis=1)
@@ -239,7 +240,7 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
             outcomes[i] = QSCertificate(
                 "incompatible", first_violation_order=1, residuals=r[:2], detail=(
                     "the linear coefficient is not quasi-Hermitian for any positive "
-                    f"weight choice (congruence residual {congruence[j]:.3e})"
+                    f"weight choice (congruence residual {np.ldexp(congruence[j], e[i]):.3e})"
                 ), **fields,
             )
         elif order is None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cryptoherm import biorthogonal_decompose, cli, models, quasistationary
 from cryptoherm.cli import COMMANDS, main, parse_config, run
-from cryptoherm.errors import ValidationError
+from cryptoherm.errors import ParseError, ValidationError
 
 
 def _write(tmp_path, name, payload):
@@ -76,8 +76,6 @@ def test_parse_rejects_zero_step():
 
 
 def test_parse_rejects_malformed_json():
-    from cryptoherm.errors import ParseError
-
     with pytest.raises(ParseError):
         parse_config("{not json")
 
@@ -469,7 +467,20 @@ MORE_INVALID = [
     ("output", {"path": 3}),
     ("output", {"path": ["out"]}),
     ("output", {"path": ""}),
+    ("output", "out"),
     ("trials", quasistationary.MAX_TRIALS + 1),
+    ("model", [[1, 0], [0, 1]]),
+    ("model", {"matrix": 3}),
+    ("model", {"taylor": {"0": [[1]]}}),
+    ("model", {"taylor": [[[1, 0], [0, -1]], [[1]]]}),
+    ("dyson", [[1, 0], [0, 1]]),
+    ("dyson", {"kind": "linear", "generator": [[0, 1], [0, 0]], "theta": [0.0]}),
+    ("dyson", {"kind": "exp_poly", "generator": [[0, 1], [0, 0]]}),
+    ("dyson", {"kind": "constant"}),
+    ("dyson", {"kind": "exp_poly", "generator": [[0, 1], [0, 0]], "theta": ["1"]}),
+    ("dyson", {"kind": "exp_poly", "generator": [[0, 1], [0, 0]], "theta": 1.0}),
+    ("grid", [0.0, 1.0, 5]),
+    ("tolerances", 1e-8),
 ]
 
 
@@ -492,6 +503,85 @@ def test_every_key_rejects_an_invalid_value(tmp_path, monkeypatch, key):
 @pytest.mark.parametrize("key, value", MORE_INVALID)
 def test_more_invalid_values_are_rejected(tmp_path, monkeypatch, key, value):
     _assert_rejected(tmp_path, monkeypatch, key, value)
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"evolve"', "3", "null"])
+def test_a_document_that_is_not_an_object_is_a_parse_error(tmp_path, document, capsys):
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        parse_config(document)
+    path = tmp_path / "cfg.json"
+    path.write_text(document)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (dict(EVOLVE_CFG, command="crosscheck", psi0=EVOLVE_CFG["phi0"]), "crosscheck derives psi0"),
+        (
+            {"command": "qs-check", "model": {"taylor": [[[1, 0], [0, 2]]]}},
+            "qs-check needs at least two taylor coefficients",
+        ),
+        (dict(EVOLVE_CFG, model={"scenario": "nope"}), "unknown scenario 'nope'"),
+    ],
+    ids=["crosscheck-psi0", "qs-check-one-coefficient", "unknown-scenario"],
+)
+def test_a_config_the_command_cannot_run_exits_2(tmp_path, cfg, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config(json.dumps(cfg))
+    assert _exit_code(tmp_path, cfg) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_configured_output_path_is_used_over_the_out_flag(tmp_path):
+    chosen = tmp_path / "chosen"
+    cfg = dict(VALID["decompose"], output={"path": str(chosen)})
+    assert _exit_code(tmp_path, cfg) == 0
+    assert [p.name for p in chosen.iterdir()] == ["decomposition.json"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_evolve_writes_its_trajectory_as_json_when_configured(tmp_path):
+    cfg = dict(EVOLVE_CFG, output={"format": "json"})
+    assert _exit_code(tmp_path, cfg) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "trajectory.json", "trajectory_summary.json",
+    ]
+    payload = json.loads((tmp_path / "out" / "trajectory.json").read_text())
+    assert sorted(payload) == ["drift", "overlap", "phi", "psi", "times"]
+    assert payload["times"] == np.linspace(0.0, 1.0, 5).tolist()
+    # the same trajectory the CSV writer writes, bit for bit
+    (tmp_path / "csv").mkdir()
+    assert _exit_code(tmp_path / "csv", EVOLVE_CFG) == 0
+    rows = np.loadtxt(tmp_path / "csv" / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+    phi = np.array(payload["phi"])
+    npt.assert_array_equal(rows[:, 1:5], phi.reshape(5, 4))
+    npt.assert_array_equal(rows[:, -1], payload["drift"])
+
+
+#: each tolerance key, a command that reads it, and the library call it reaches
+TOLERANCES = [
+    ("tol_qs", VALID["qs-check"], "qs_certify"),
+    ("tol_qs", VALID["qs-scan"], "qs_scan"),
+    ("decompose_tol", VALID["decompose"], "biorthogonal_decompose"),
+    ("decompose_tol", VALID["metric"], "biorthogonal_decompose"),
+]
+
+
+@pytest.mark.parametrize("key, cfg, name", TOLERANCES, ids=[c["command"] for _, c, _ in TOLERANCES])
+def test_every_tolerance_reaches_its_library_call(tmp_path, monkeypatch, key, cfg, name):
+    seen = []
+    call = getattr(cli, name)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return call(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert _exit_code(tmp_path, dict(cfg, tolerances={key: 2.5e-7})) == 0
+    assert seen == [2.5e-7]
 
 
 def test_trials_cap_rejects_before_sampling(tmp_path):

@@ -269,6 +269,15 @@ def test_stacked_fro_sums_as_numpy_norm(layout):
         assert np.array_equal(stacked_fro(stack.reshape(2, 3, d, d)), norms.reshape(2, 3))
 
 
+def test_stacked_fro_of_an_integer_matrix_sums_as_numpy_norm():
+    # an integer matrix is summed as its float copy, as np.linalg.norm sums it
+    matrix = np.arange(-12, 13).reshape(5, 5) * 7
+    assert stacked_fro(matrix) == np.linalg.norm(matrix)
+    assert np.array_equal(stacked_fro(np.stack([matrix, 3 * matrix])),
+                          [np.linalg.norm(matrix), np.linalg.norm(3 * matrix)])
+    assert norm_fro(matrix) == np.linalg.norm(matrix)
+
+
 @pytest.mark.parametrize("real", [False, True])
 def test_stacked_fro_scales_by_powers_of_two_outside_the_normal_range(real):
     # the sums of squares underflow to 0 at 2**-600 and overflow at 2**600;

@@ -211,6 +211,21 @@ def test_a_linear_coefficient_far_from_unit_scale_keeps_the_verdict():
         assert cert.status == "compatible", (scale, cert.detail)
 
 
+_DENSE_H1 = np.array([[0.5, 0.3 + 0.2j, -0.4j], [0.3 - 0.2j, -0.7, 0.6], [0.4j, 0.6, 0.9]])
+# M's pairs (0, 2) and (1, 2) are zero: the weights go through the walk
+_MIXED_H1 = np.array([[0.5, 0.3 + 0.2j, 0.0], [0.3 - 0.2j, -0.7, 0.0], [0.0, 0.0, 0.9]])
+
+
+@pytest.mark.parametrize("h1", [_DENSE_H1, _MIXED_H1], ids=["vectorized", "walk"])
+@pytest.mark.parametrize("scale", [1e-309, 1e-310, 1e-320])
+def test_a_subnormal_linear_coefficient_keeps_the_verdict(h1, scale):
+    # a ratio of two subnormal entries of M overflowed in its divide; H₁ is
+    # Hermitian, so its scaled pairs stay conjugate and κ = 1 up to a divide
+    cert = qs_certify(TaylorHamiltonian((np.diag([1.0, 2.0, 3.0]), scale * h1)))
+    assert cert.status == "compatible", cert.detail
+    npt.assert_allclose(cert.kappa, 1.0, rtol=1e-15)
+
+
 def test_certify_degree2_extension_violates_at_order_2():
     rng = np.random.default_rng(11)
     ham = sample_shared_degree2(rng, 4)
@@ -342,18 +357,22 @@ def test_solve_weights_block_structure():
         ],
         dtype=complex,
     )
-    kappa, detail = _solve_weights(m, threshold=1e-8)
-    assert detail is None
+    kappa = _solve_weights(m, np.abs(m) >= 1e-8)
     assert kappa[0] == 1.0
     assert kappa[1] == pytest.approx(2.0 / 0.5)
     assert kappa[2] == 1.0
 
 
-def test_solve_weights_one_sided_pattern_is_exceptional():
-    m = np.array([[1.0, 1.0], [1e-14, 2.0]], dtype=complex)
-    kappa, detail = _solve_weights(m, threshold=1e-8)
-    assert kappa is None
-    assert "one-sided" in detail
+def test_one_sided_pattern_is_exceptional():
+    # H₀ = diag(1, 2) has the unit vectors as its biorthonormal basis, so
+    # M = H₁, whose pair (0, 1) is significant on one side only
+    h1 = np.array([[1.0, 1.0], [1e-14, 2.0]])
+    cert = qs_certify(TaylorHamiltonian((np.diag([1.0, 2.0]), h1)))
+    assert cert.status == "exceptional" and cert.kappa is None
+    assert cert.detail == (
+        "one-sided overlap pattern at entries (0, 1): "
+        "weight ratios are not determined by a generic solve"
+    )
 
 
 def test_scan_counts_and_determinism():
@@ -524,8 +543,9 @@ def test_vectorized_weights_equal_the_component_search():
         if seed % 2:
             ham = sample_independent(np.random.default_rng(seed), 5)
         m = _condition_matrix(ham)
-        kappa, detail = _solve_weights(m, 1e-8 * np.linalg.norm(m))
-        assert detail is None and (np.abs(m) >= 1e-8 * np.linalg.norm(m)).all()
+        significant = np.abs(m) >= 1e-8 * np.linalg.norm(m)
+        assert significant.all()
+        kappa = _solve_weights(m, significant)
         cert = qs_certify(ham)
         if cert.kappa is not None:
             assert np.array_equal(cert.kappa, kappa.real)

@@ -59,3 +59,15 @@ def test_writer_memory_runs_both_trajectory_commands(tmp_path):
     assert len((tmp_path / "evolve" / "trajectory.csv").read_text().splitlines()) == 12
     naive = json.loads((tmp_path / "naive-evolve" / "naive_trajectory.json").read_text())
     assert len(naive["times"]) == 11
+
+
+def test_cli_digests_names_every_written_file_and_repeats():
+    first = _run("cli_digests.py", "--seed", "3")
+    digests = json.loads("\n".join(first))
+    assert len(digests) == 15
+    assert {name.split("/")[0] for name in digests} == {
+        "decompose", "metric", "hermitize", "qs-check", "evolve", "naive-evolve", "crosscheck",
+        "qs-scan-shared", "qs-scan-independent", "qs-scan-shared-degree2", "demo",
+    }
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())
+    assert _run("cli_digests.py", "--seed", "3") == first
