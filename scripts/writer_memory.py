@@ -3,10 +3,12 @@
 
 Writes an `evolve` (CSV) and a `naive-evolve` (JSON) configuration on
 `scenario_random(dim, seed)` with `n_samples` points on [0, 1] and one RK4
-substep per grid interval, runs each as `python -m cryptoherm.cli` in a fresh
-process, and prints the process's peak resident memory (MB as
-`perfbench/run.py` reports it: ru_maxrss / 1024) and its wall time.  The
-trajectory row gives the size of Φ and Ψ together, which every run holds.
+substep per grid interval (the config `perfbench/workloads.py` builds for
+`cli-batch`, read only, with its own step), runs each as
+`python -m cryptoherm.cli` in a fresh process, and prints the process's peak
+resident memory (MB as `perfbench/run.py` reports it: ru_maxrss / 1024) and
+its wall time.  The trajectory row gives the size of Φ and Ψ together, which
+every run holds.
 """
 
 import argparse
@@ -18,31 +20,13 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from cryptoherm import scenario_random
+from cryptoherm import scenario_random  # noqa: E402
+from workloads import _trajectory_config  # noqa: E402
 
 #: (command, output format) of each run, in the order they are printed
 RUNS = (("evolve", "csv"), ("naive-evolve", "json"))
-
-
-def _pairs(array) -> list:
-    """A complex array as nested lists of the CLI's [re, im] pairs."""
-    a = np.asarray(array)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def _config(command: str, fmt: str, samples: int, dim: int, seed: int) -> dict:
-    ham, fam, phi0, _ = scenario_random(dim, seed)
-    return {
-        "command": command,
-        "model": {"taylor": [_pairs(c) for c in ham.coefficients]},
-        "dyson": {"kind": "exp_poly", "generator": _pairs(fam.generator), "theta": list(fam.theta)},
-        "phi0": _pairs(phi0),
-        "grid": {"t_start": 0.0, "t_end": 1.0, "n_samples": samples},
-        "step": 1.0 / (samples - 1),
-        "output": {"format": fmt},
-    }
 
 
 def _measure(config_path: Path, out: Path) -> tuple[float, float]:
@@ -79,7 +63,12 @@ def main():
         print(f"{'command':<14}{'format':<8}{'peak_rss_mb':>12}{'wall_s':>9}")
         for command, fmt in RUNS:
             config_path = Path(scratch) / f"{command}.json"
-            config = _config(command, fmt, args.samples, args.dim, args.seed)
+            config = {
+                "command": command,
+                **_trajectory_config(scenario_random(args.dim, args.seed), args.samples),
+                "step": 1.0 / (args.samples - 1),
+                "output": {"format": fmt},
+            }
             config_path.write_text(json.dumps(config))
             rss, wall = _measure(config_path, root / command)
             print(f"{command:<14}{fmt:<8}{rss:>12.1f}{wall:>9.2f}")

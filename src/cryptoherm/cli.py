@@ -2,9 +2,10 @@
 
 Reads a JSON run configuration, dispatches to the library, and writes
 machine-readable artifacts plus a short human summary.  Exit codes: 0 on
-success, 1 on numerical failure or exhausted memory (error name on stderr),
-2 on configuration error.  Output is byte-identical across reruns of the
-same configuration.
+success, 1 on numerical failure, exhausted memory or an output directory or
+file that cannot be written, 2 on configuration error; a failing run prints
+one ``<ErrorName>: <message>`` line on stderr.  Output is byte-identical
+across reruns of the same configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -419,18 +419,14 @@ def _leading_blocks(array: np.ndarray, rows: int):
 
 def _json(obj, level: int = 0):
     """Pieces of ``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed
-    dicts, lists and JSON scalars, where float arrays stand for their
-    ``tolist()`` and an iterator for the float array of its blocks; an array
-    is written PIECE_FLOATS at a time."""
+    dicts, lists and JSON scalars, where arrays stand for their ``tolist()``;
+    a float array is written PIECE_FLOATS at a time."""
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim:
             rows = max(1, PIECE_FLOATS // max(1, math.prod(obj.shape[1:])))
-            obj = _leading_blocks(obj, rows)
-        else:
-            obj = obj.tolist()
-    if isinstance(obj, Iterator):
-        yield from _json_blocks(obj, level)
-        return
+            yield from _json_blocks(_leading_blocks(obj, rows), level)
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict):
         items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(obj.items())]
         brackets = "{}"
@@ -459,17 +455,6 @@ def _write_json(path: Path, obj) -> Path:
     return path
 
 
-def _drift(overlap: np.ndarray, rows: int):
-    """The running maximum of |overlap[k] − overlap[0]| in blocks of ``rows``;
-    a maximum is exact, so each block carries the last one's end bit for bit."""
-    top = 0.0
-    for block in _leading_blocks(overlap, rows):
-        block = np.maximum.accumulate(np.abs(block - overlap[0]))
-        np.maximum(block, top, out=block)
-        top = block[-1]
-        yield block
-
-
 def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str) -> Path:
     if fmt == "json":
         return _write_json(
@@ -479,162 +464,136 @@ def _write_trajectory(path_base: Path, traj: evolution.StateTrajectory, fmt: str
                 "phi": _pairs(traj.phi),
                 "psi": _pairs(traj.psi),
                 "overlap": _pairs(traj.overlap),
-                "drift": _drift(traj.overlap, PIECE_FLOATS),
+                "drift": traj.norm_drift,
             },
         )
     samples, n = traj.phi.shape
     header = ["t"]
     header += [f"{v}{i}_{p}" for v in ("phi", "psi") for i in range(n) for p in ("re", "im")]
     header += ["overlap_re", "overlap_im", "drift"]
-    # the real columns besides drift, each a float view of the trajectory
+    # the real columns, each a float view of the trajectory
     columns = [traj.times]
     columns += [_pairs(z).reshape(samples, -1) for z in (traj.phi, traj.psi, traj.overlap)]
+    columns.append(traj.norm_drift)
     rows = max(1, PIECE_FLOATS // len(header))
     # one "%.17g" row template per row of a block
     row = ",".join(["%.17g"] * len(header)) + "\n"
     path = path_base.with_suffix(".csv")
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        for a, drift in zip(range(0, samples, rows), _drift(traj.overlap, rows)):
-            block = np.column_stack([c[a : a + rows] for c in columns] + [drift])
+        for a in range(0, samples, rows):
+            block = np.column_stack([c[a : a + rows] for c in columns])
             f.write((row * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each writes its artifacts into `out` and returns the
-# written paths and a one-line summary
+# command handlers: each returns its files, {file stem: StateTrajectory or
+# JSON payload}, and the note of the summary line; `run` writes them
 # ---------------------------------------------------------------------------
 
-def _run_decompose(cfg, out):
+def _run_decompose(cfg):
     system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", BIORTHO_TOL))
-    payload = {
+    return {"decomposition": {
         "eigenvalues": _pairs(system.eigenvalues),
         "right_vectors": _pairs(system.right_vectors),
         "left_vectors": _pairs(system.left_vectors),
         "condition_estimate": float(system.condition_estimate),
         "biorthonormality_residual": float(system.biorthonormality_residual()),
         "completeness_residual": float(system.completeness_residual()),
-    }
-    path = _write_json(out / "decomposition.json", payload)
-    return [path], f"wrote {path} ({system.dim} eigenvalues)"
+    }}, f"{system.dim} eigenvalues"
 
 
-def _run_metric(cfg, out):
+def _run_metric(cfg):
     system = biorthogonal_decompose(cfg.matrix, cfg.tolerances.get("decompose_tol", BIORTHO_TOL))
     theta = metric_from_spectral(system, cfg.kappa)
     residual = stationarity_residual(cfg.matrix, theta.matrix)
-    payload = {
+    return {"metric": {
         "theta": _pairs(theta.matrix),
         "min_eig": theta.min_eig,
         "max_eig": theta.max_eig,
         "quasi_hermiticity_residual": residual,
-    }
-    path = _write_json(out / "metric.json", payload)
-    return [path], f"wrote {path} (residual {residual:.3e})"
+    }}, f"residual {residual:.3e}"
 
 
-def _run_hermitize(cfg, out):
+def _run_hermitize(cfg):
     h = hermitize(cfg.matrix, cfg.dyson, cfg.t_eval)
     residual = norm_fro(h - h.conj().T) / max(norm_fro(h), np.finfo(float).tiny)
-    payload = {
+    return {"hermitize": {
         "h": _pairs(h),
         "hermiticity_residual": float(residual),
         "eigenvalues": _pairs(np.sort_complex(np.linalg.eigvals(h))),
         "t": cfg.t_eval,
-    }
-    path = _write_json(out / "hermitize.json", payload)
-    return [path], f"wrote {path} (Hermiticity residual {residual:.3e})"
+    }}, f"Hermiticity residual {residual:.3e}"
 
 
-def _run_evolve(cfg, out, naive=False):
+def _run_evolve(cfg, naive=False):
     propagate = evolution.propagate_naive if naive else evolution.propagate_pair
     traj = propagate(cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step)
     base = "naive_trajectory" if naive else "trajectory"
-    paths = [
-        _write_trajectory(out / base, traj, cfg.output_format),
-        _write_json(
-            out / f"{base}_summary.json",
-            {
-                "samples": int(traj.times.size),
-                "max_norm_drift": float(traj.max_norm_drift),
-                "max_metric_drift": float(traj.max_metric_drift),
-                "overlap_initial": _pairs(traj.overlap[0]),
-                "overlap_final": _pairs(traj.overlap[-1]),
-                "metric_norm_initial": float(traj.metric_norm[0]),
-                "metric_norm_final": float(traj.metric_norm[-1]),
-            },
-        ),
-    ]
-    return paths, (
-        f"wrote {paths[0]} (overlap drift {traj.max_norm_drift:.3e}, "
-        f"metric-norm drift {traj.max_metric_drift:.3e})"
+    return {base: traj, f"{base}_summary": {
+        "samples": int(traj.times.size),
+        "max_norm_drift": traj.max_norm_drift,
+        "max_metric_drift": float(traj.max_metric_drift),
+        "overlap_initial": _pairs(traj.overlap[0]),
+        "overlap_final": _pairs(traj.overlap[-1]),
+        "metric_norm_initial": float(traj.metric_norm[0]),
+        "metric_norm_final": float(traj.metric_norm[-1]),
+    }}, (
+        f"overlap drift {traj.max_norm_drift:.3e}, "
+        f"metric-norm drift {traj.max_metric_drift:.3e}"
     )
 
 
-def _run_crosscheck(cfg, out):
+def _run_crosscheck(cfg):
     report = evolution.crosscheck_pictures(cfg.taylor, cfg.dyson, cfg.phi0, cfg.grid, cfg.step)
-    payload = {
+    return {"crosscheck": {
         "dev_pair_lower": report.dev_pair_lower,
         "dev_pair_operators": report.dev_pair_operators,
         "dev_lower_operators": report.dev_lower_operators,
         "max_pairwise_deviation": report.max_pairwise_deviation(),
         "samples": int(report.times.size),
-    }
-    path = _write_json(out / "crosscheck.json", payload)
-    return [path], f"wrote {path} (max deviation {report.max_pairwise_deviation():.3e})"
+    }}, f"max deviation {report.max_pairwise_deviation():.3e}"
 
 
-def _run_qs_check(cfg, out):
+def _run_qs_check(cfg):
     tol = cfg.tolerances.get("tol_qs", quasistationary.DEFAULT_TOL_QS)
     cert = qs_certify(cfg.taylor, tol)
-    payload = {
+    return {"certificate": {
         "status": cert.status,
         "kappa": cert.kappa,
         "first_violation_order": cert.first_violation_order,
         "residuals": [float(r) for r in cert.residuals],
         "detail": cert.detail,
         "theta": None if cert.metric is None else _pairs(cert.metric.matrix),
-    }
-    path = _write_json(out / "certificate.json", payload)
-    return [path], f"wrote {path} (status {cert.status})"
+    }}, f"status {cert.status}"
 
 
-def _run_qs_scan(cfg, out):
+def _run_qs_scan(cfg):
     tol = cfg.tolerances.get("tol_qs", quasistationary.DEFAULT_TOL_QS)
     stats = qs_scan(cfg.sampler, cfg.trials, cfg.n, cfg.seed, tol)
-    path = _write_json(out / "qs_scan.json", {**stats.as_flat_dict(), "sampler": cfg.sampler})
-    return [path], (
-        f"wrote {path} (compatible {stats.compatible}, "
-        f"incompatible {stats.incompatible}, exceptional {stats.exceptional})"
+    return {"qs_scan": {**stats.as_flat_dict(), "sampler": cfg.sampler}}, (
+        f"compatible {stats.compatible}, "
+        f"incompatible {stats.incompatible}, exceptional {stats.exceptional}"
     )
 
 
-def _run_demo(cfg, out):
+def _run_demo(cfg):
     # both rules in one RK4 run; each trajectory equals its propagator's bit for bit
     covariant, naive = evolution._propagate_doublet(
         cfg.taylor, cfg.dyson, cfg.phi0, cfg.psi0, cfg.grid, cfg.step, (True, False)
     )
     covariant_drift = max(covariant.max_norm_drift, covariant.max_metric_drift)
     ratio = naive.max_metric_drift / max(covariant_drift, np.finfo(float).tiny)
-    paths = [
-        _write_trajectory(out / "covariant", covariant, cfg.output_format),
-        _write_trajectory(out / "naive", naive, cfg.output_format),
-        _write_json(
-            out / "demo_summary.json",
-            {
-                "covariant_norm_drift": covariant.max_norm_drift,
-                "covariant_metric_drift": covariant.max_metric_drift,
-                "naive_norm_drift": naive.max_norm_drift,
-                "naive_metric_drift": naive.max_metric_drift,
-                "naive_to_covariant_ratio": float(ratio),
-            },
-        ),
-    ]
-    return paths, (
-        f"wrote {paths[0]} and {paths[1]}: covariant metric-norm drift "
-        f"{covariant.max_metric_drift:.3e} vs naive {naive.max_metric_drift:.3e} "
-        f"(ratio {ratio:.1e})"
+    return {"covariant": covariant, "naive": naive, "demo_summary": {
+        "covariant_norm_drift": covariant.max_norm_drift,
+        "covariant_metric_drift": covariant.max_metric_drift,
+        "naive_norm_drift": naive.max_norm_drift,
+        "naive_metric_drift": naive.max_metric_drift,
+        "naive_to_covariant_ratio": float(ratio),
+    }}, (
+        f"covariant metric-norm drift {covariant.max_metric_drift:.3e} "
+        f"vs naive {naive.max_metric_drift:.3e}, ratio {ratio:.1e}"
     )
 
 
@@ -649,7 +608,7 @@ def _two_coefficients(cfg):
 
 
 class _Command(NamedTuple):
-    #: (cfg, out) -> (written paths, summary line)
+    #: cfg -> ({file stem: StateTrajectory or JSON payload}, summary note)
     handler: Callable
     #: config keys the command needs; the RunConfig field is the last dotted part
     needs: tuple = ()
@@ -665,7 +624,7 @@ COMMANDS = {
     "metric": _Command(_run_metric, ("model.matrix", "kappa")),
     "hermitize": _Command(_run_hermitize, ("model.matrix", "dyson")),
     "evolve": _Command(_run_evolve, _PROPAGATION),
-    "naive-evolve": _Command(lambda cfg, out: _run_evolve(cfg, out, naive=True), _PROPAGATION),
+    "naive-evolve": _Command(lambda cfg: _run_evolve(cfg, naive=True), _PROPAGATION),
     "crosscheck": _Command(_run_crosscheck, _PROPAGATION, _no_psi0),
     "qs-check": _Command(_run_qs_check, ("model.taylor",), _two_coefficients),
     # every sampler plants spectra with a minimum gap, which bounds n
@@ -677,14 +636,25 @@ COMMANDS = {
 
 
 def run(cfg: RunConfig, out_dir, seed_override=None, quiet=False) -> list[Path]:
-    """Execute a validated configuration; returns the written artifact paths."""
+    """Execute a validated configuration and write its files, a trajectory in
+    ``cfg.output_format`` and anything else as JSON; returns their paths.
+
+    Prints ``wrote <first path> (<note>)`` unless ``quiet``.  Raises
+    ``OSError`` when the output directory or a file cannot be written.
+    """
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     out = Path(cfg.output_path) if cfg.output_path else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths, summary = COMMANDS[cfg.command].handler(cfg, out)
+    files, note = COMMANDS[cfg.command].handler(cfg)
+    paths = [
+        _write_trajectory(out / stem, obj, cfg.output_format)
+        if isinstance(obj, evolution.StateTrajectory)
+        else _write_json(out / f"{stem}.json", obj)
+        for stem, obj in files.items()
+    ]
     if not quiet:
-        print(summary)
+        print(f"wrote {paths[0]} ({note})")
     return paths
 
 
@@ -717,7 +687,7 @@ def main(argv=None) -> int:
         return 2
     try:
         run(parse_config(text), args.out, seed_override=args.seed, quiet=args.quiet)
-    except (ConfigError, NumericalError, ValueError) as exc:
+    except (ConfigError, NumericalError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     except MemoryError as exc:  # numpy raises a subclass named _ArrayMemoryError

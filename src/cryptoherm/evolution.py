@@ -110,8 +110,9 @@ class TaylorHamiltonian:
 class StateTrajectory:
     """Sampled doublet trajectory with overlap and metric-norm diagnostics.
 
-    ``overlap[k]`` is ⟨Ψ(t_k)|Φ(t_k)⟩ recomputed from the stored vectors and
-    ``max_norm_drift`` its worst excursion from the initial value.
+    ``overlap[k]`` is ⟨Ψ(t_k)|Φ(t_k)⟩ recomputed from the stored vectors,
+    ``norm_drift[k]`` its worst excursion from the initial value up to t_k
+    (NaN from the first NaN overlap on) and ``max_norm_drift`` the last of these.
     ``metric_norm[k]`` is the norm in the instantaneous physical inner
     product, ⟨Φ(t_k)|Θ(t_k)|Φ(t_k)⟩ = ‖Ω(t_k)Φ(t_k)‖², and
     ``max_metric_drift`` its worst excursion; this is the unitarity
@@ -122,9 +123,13 @@ class StateTrajectory:
     phi: np.ndarray
     psi: np.ndarray
     overlap: np.ndarray
-    max_norm_drift: float
+    norm_drift: np.ndarray
     metric_norm: np.ndarray
     max_metric_drift: float
+
+    @property
+    def max_norm_drift(self) -> float:
+        return float(self.norm_drift[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +464,7 @@ def _assemble_trajectories(times, states, family: DysonFamily) -> list:
     return [
         StateTrajectory(
             times, states[:, 2 * f], states[:, 2 * f + 1], overlap[f],
-            float(np.abs(overlap[f] - overlap[f, 0]).max()), metric_norm[f],
+            np.maximum.accumulate(np.abs(overlap[f] - overlap[f, 0])), metric_norm[f],
             float(np.abs(metric_norm[f] - metric_norm[f, 0]).max()),
         )
         for f in range(flags)

@@ -202,20 +202,17 @@ SAMPLERS = {
 }
 
 
-def random_cryptohermitian(
-    dim: int, spectrum, seed: int, cond_cap: float | None = None
-) -> np.ndarray:
-    """H = S·diag(spectrum)·S⁻¹ with a seeded random S of bounded condition.
+def random_cryptohermitian(dim: int, spectrum, seed: int) -> np.ndarray:
+    """H = S·diag(spectrum)·S⁻¹ with a seeded random S of condition at most
+    ``DEFAULT_COND_CAP``, read at call time.
 
     The planted spectrum is real, so H is non-Hermitian with a real spectrum;
-    the output is bitwise reproducible for a given seed.  ``cond_cap``
-    defaults to ``DEFAULT_COND_CAP``.
+    the output is bitwise reproducible for a given seed.
     """
     values = np.asarray(spectrum, dtype=float)
     if values.shape != (dim,):
         raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {values.shape}")
-    cap = DEFAULT_COND_CAP if cond_cap is None else cond_cap
-    (s,), (s_inv,) = _random_similarities([np.random.default_rng(seed)], dim, cap)
+    (s,), (s_inv,) = _random_similarities([np.random.default_rng(seed)], dim, DEFAULT_COND_CAP)
     return (s * values) @ s_inv
 
 

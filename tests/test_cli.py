@@ -1,10 +1,14 @@
 """Tests for the command-line front end: parsing, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import re
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +197,7 @@ def test_exhausted_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     class ArrayMemoryError(MemoryError):
         pass
 
-    def exhausted(cfg, out):
+    def exhausted(cfg):
         raise ArrayMemoryError("Unable to allocate 14.6 TiB for an array")
 
     monkeypatch.setitem(COMMANDS, "decompose", COMMANDS["decompose"]._replace(handler=exhausted))
@@ -201,6 +205,29 @@ def test_exhausted_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("MemoryError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "where, below",
+    [("--out", "sub"), ("output.path", "sub"), ("--out", ""), ("output.path", "")],
+    ids=["out-flag-under-a-file", "output-path-under-a-file", "out-flag-a-file", "output-path-a-file"],
+)
+def test_an_output_directory_that_cannot_be_made_exits_1_with_one_line(
+    tmp_path, capsys, where, below
+):
+    # the OSError of creating the directory used to escape main as a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    cfg = {"command": "decompose", "model": {"matrix": MATRIX_2}}
+    if where == "output.path":
+        cfg["output"] = {"path": str(out)}
+    path = _write(tmp_path, "cfg.json", cfg)
+    flag_out = out if where == "--out" else tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(flag_out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"(FileExists|NotADirectory)Error: [^\n]+\n", err), err
+    assert blocker.read_text() == ""
 
 
 def test_metric_command(tmp_path):
@@ -612,6 +639,108 @@ def test_every_command_accepts_its_valid_config(name):
     assert parse_config(json.dumps(VALID[name])).command == name
 
 
+# ---------------------------------------------------------------------------
+# fuzzed configs: VALID with at most two keys replaced or dropped
+# ---------------------------------------------------------------------------
+
+#: a real entry in [−10, 10], none of it near the float limits
+_ENTRY = st.integers(-40, 40).map(lambda i: i / 4) | st.floats(1e-3, 10) | st.floats(-10, -1e-3)
+_COMPLEX = _ENTRY | st.lists(_ENTRY, min_size=2, max_size=2)
+_DIM = st.integers(1, 3)
+
+
+def _matrices(d):
+    return st.lists(st.lists(_COMPLEX, min_size=d, max_size=d), min_size=d, max_size=d)
+
+
+_MATRIX = _DIM.flatmap(_matrices)
+
+#: small random values of each key, most of them valid on their own
+SMALL = {
+    "command": st.sampled_from(list(COMMANDS)),
+    "model": st.one_of(
+        _MATRIX.map(lambda m: {"matrix": m}),
+        _DIM.flatmap(lambda d: st.lists(_matrices(d), min_size=1, max_size=3)).map(
+            lambda coeffs: {"taylor": coeffs}
+        ),
+        st.just({"scenario": "falsification"}),
+    ),
+    "dyson": st.one_of(
+        _MATRIX.map(lambda m: {"kind": "constant", "matrix": m}),
+        st.builds(
+            lambda g, theta: {"kind": "exp_poly", "generator": g, "theta": theta},
+            _MATRIX, st.lists(_ENTRY, max_size=3),
+        ),
+    ),
+    # intervals of k/20, which the steps 0.01 and 0.05 divide
+    "grid": st.builds(
+        lambda a, k, n: {"t_start": a, "t_end": a + k * (n - 1) / 20, "n_samples": n},
+        st.integers(-8, 8).map(lambda i: i / 4), st.integers(1, 4), st.integers(2, 11),
+    ),
+    "step": st.sampled_from([0.01, 0.05, 0.25]) | st.floats(1e-2, 10),
+    "phi0": st.lists(_COMPLEX, min_size=1, max_size=3),
+    "psi0": st.lists(_COMPLEX, min_size=1, max_size=3),
+    "kappa": st.lists(_ENTRY, min_size=1, max_size=3),
+    "t": _ENTRY,
+    "tolerances": st.fixed_dictionaries(
+        {}, optional={"tol_qs": st.floats(1e-12, 1.0), "decompose_tol": st.floats(1e-12, 1.0)}
+    ),
+    "seed": st.integers(0, 2**32),
+    "trials": st.integers(1, 3),
+    "n": st.integers(2, 3),
+    "sampler": st.sampled_from(sorted(quasistationary.SAMPLERS)),
+    "output": st.fixed_dictionaries({"format": st.sampled_from(["csv", "json"])}),
+}
+
+_DROP = object()
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """``VALID[command]`` with at most two keys dropped or replaced by a value
+    of ``INVALID``, ``MORE_INVALID`` or ``SMALL``."""
+    cfg = dict(VALID[draw(st.sampled_from(sorted(VALID)))])
+    for key in draw(st.lists(st.sampled_from(sorted(cli._KEYS)), max_size=2, unique=True)):
+        invalid = st.sampled_from([INVALID[key]] + [v for k, v in MORE_INVALID if k == key])
+        value = draw(invalid | SMALL[key] | st.just(_DROP))
+        if value is _DROP:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+def _cli(path, out, *flags):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(path), "--out", str(out), *flags])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cfg=_fuzzed_configs())
+def test_fuzzed_configs_end_in_one_line_and_rerun_byte_identical(tmp_path, cfg):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        path = _write(work, "cfg.json", cfg)
+        code, out, err = _cli(path, work / "a")
+        assert code in (0, 1, 2)
+        if code:
+            assert out == "" and re.fullmatch(r"[A-Za-z_]\w*: [^\n]+\n", err), err
+        else:
+            assert err == "" and re.fullmatch(r"wrote \S[^\n]* \([^\n]+\)\n", out), out
+            assert _cli(path, work / "b", "--quiet") == (0, "", "")
+            first, second = (sorted(p.name for p in (work / d).iterdir()) for d in "ab")
+            assert first == second
+            assert all((work / "a" / n).read_bytes() == (work / "b" / n).read_bytes() for n in first)
+    # no run switched off the suite's error::RuntimeWarning filter
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("probe", RuntimeWarning)
+
+
 def test_readme_lists_exactly_the_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
@@ -790,13 +919,17 @@ WRITER_FLOATS = [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 1e16, 0.0]
 
 
 def _trajectory(samples, dim, values):
-    """A trajectory whose t, Φ, Ψ and overlap floats cycle through ``values``."""
+    """A trajectory whose t, Φ, Ψ and overlap floats cycle through ``values``,
+    with the library's drift of that overlap."""
     from cryptoherm.evolution import StateTrajectory
 
     floats = np.resize(np.array(values), (samples, 4 * dim + 3))
     c = np.ascontiguousarray(floats[:, 1:]).view(complex)
+    overlap = c[:, -1]
+    with np.errstate(invalid="ignore"):  # inf − inf in the overlap excursion
+        drift = np.maximum.accumulate(np.abs(overlap - overlap[0]))
     zeros = np.zeros(samples)
-    return StateTrajectory(floats[:, 0], c[:, :dim], c[:, dim:-1], c[:, -1], 0.0, zeros, 0.0)
+    return StateTrajectory(floats[:, 0], c[:, :dim], c[:, dim:-1], overlap, drift, zeros, 0.0)
 
 
 def _assert_writers_match(tmp_path, samples, dim):

@@ -121,6 +121,41 @@ def test_trajectory_overlap_recomputes_from_vectors():
     assert traj.max_norm_drift == np.abs(traj.overlap - traj.overlap[0]).max()
 
 
+def _running_excursion(overlap):
+    """max over j ≤ k of |overlap[j] − overlap[0]|, one prefix at a time."""
+    excursion = np.abs(overlap - overlap[0])
+    return np.array([excursion[: k + 1].max() for k in range(overlap.size)])
+
+
+@pytest.mark.parametrize("rule", ["covariant", "naive", "demo"])
+def test_norm_drift_is_the_running_maximum_of_the_overlap_excursion(rule):
+    if rule == "demo":  # both doublets of the CLI demo's one RK4 run
+        ham, fam, phi0, grid = scenario_falsification()
+        runs = evolution._propagate_doublet(ham, fam, phi0, None, grid, 1e-2, (True, False))
+    else:
+        ham, fam, phi0, grid = scenario_random(3, 5)
+        propagate = propagate_pair if rule == "covariant" else propagate_naive
+        runs = [propagate(ham, fam, phi0, None, np.linspace(0.0, 1.0, 51), 1e-2)]
+    for traj in runs:
+        assert traj.norm_drift.shape == traj.times.shape
+        npt.assert_array_equal(traj.norm_drift, _running_excursion(traj.overlap))
+        assert traj.norm_drift[-1] > 0.0
+        assert type(traj.max_norm_drift) is float
+        assert traj.max_norm_drift == traj.norm_drift[-1]
+
+
+def test_norm_drift_is_nan_from_the_first_nan_overlap_on():
+    ham, fam, phi0, grid = scenario_random(2, 0)
+    traj = propagate_pair(ham, fam, phi0, None, grid, 1e-2)
+    states = np.stack([traj.phi, traj.psi], axis=1)
+    states[4, 0, 1] = np.nan  # one entry of Φ at one sample; the later ones stay finite
+    (broken,) = evolution._assemble_trajectories(traj.times, states, fam)
+    npt.assert_array_equal(broken.norm_drift[:4], traj.norm_drift[:4])
+    assert np.isnan(broken.overlap[4]) and np.isfinite(broken.overlap[5:]).all()
+    assert np.isnan(broken.norm_drift[4:]).all()
+    assert np.isnan(broken.max_norm_drift)
+
+
 def test_pair_step_validation():
     ham = TaylorHamiltonian((np.eye(2, dtype=complex),))
     fam = DysonFamily.constant(np.eye(2))

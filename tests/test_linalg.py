@@ -19,7 +19,7 @@ from cryptoherm import (
     norm_fro,
     principal_sqrt,
 )
-from cryptoherm import DysonFamily, cli, hermitize
+from cryptoherm import DysonFamily, cli, hermitize, models
 from cryptoherm.linalg import (
     BIORTHO_TOL,
     as_state,
@@ -352,12 +352,14 @@ def test_constant_family_inverts_once(factorizations):
     assert factorizations == {"svd": 1, "inv": 1}
 
 
-def test_random_similarity_factorizes_each_draw_once(factorizations):
+def test_random_similarity_factorizes_each_draw_once(factorizations, monkeypatch):
     # at cap 10, seed 1 takes 13 draws of a dim-8 S (12 rejected)
-    random_cryptohermitian(8, np.arange(8.0), seed=1, cond_cap=10.0)
+    monkeypatch.setattr(models, "DEFAULT_COND_CAP", 10.0)
+    random_cryptohermitian(8, np.arange(8.0), seed=1)
     assert factorizations == {"svd": 13, "inv": 13}
     factorizations.clear()
-    random_cryptohermitian(8, np.arange(8.0), seed=4, cond_cap=100.0)
+    monkeypatch.setattr(models, "DEFAULT_COND_CAP", 100.0)
+    random_cryptohermitian(8, np.arange(8.0), seed=4)
     assert factorizations == {"svd": 1, "inv": 1}
 
 

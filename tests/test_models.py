@@ -16,6 +16,7 @@ from cryptoherm import (
     generator,
     hermitize,
     model_2x2,
+    models,
     norm_fro,
     random_cryptohermitian,
     scenario_falsification,
@@ -128,9 +129,10 @@ def test_random_cryptohermitian_deterministic_and_isospectral():
     assert np.abs(system.eigenvalues.imag).max() <= 1e-8 * 4.0
 
 
-def test_random_cryptohermitian_cond_cap_unreachable():
+def test_random_cryptohermitian_cond_cap_unreachable(monkeypatch):
+    monkeypatch.setattr(models, "DEFAULT_COND_CAP", 1.0)
     with pytest.raises(ResampleExhausted):
-        random_cryptohermitian(3, [1.0, 2.0, 3.0], seed=0, cond_cap=1.0)
+        random_cryptohermitian(3, [1.0, 2.0, 3.0], seed=0)
 
 
 def test_falsification_scenario_structure():
