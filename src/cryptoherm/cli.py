@@ -4,8 +4,9 @@ Reads a JSON run configuration, dispatches to the library, and writes
 machine-readable artifacts plus a short human summary.  Exit codes: 0 on
 success, 1 on numerical failure, exhausted memory or an output directory or
 file that cannot be written, 2 on configuration error; a failing run prints
-one ``<ErrorName>: <message>`` line on stderr.  Output is byte-identical
-across reruns of the same configuration.
+one ``<ErrorName>: <message>`` line on stderr, and a warning one
+``<WarningName>: <message>`` line.  Output is byte-identical across reruns
+of the same configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -685,6 +687,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ParseError: cannot read config: {exc}", file=sys.stderr)
         return 2
+    # a warning the run shows is one "<WarningName>: <message>" line; only its
+    # format changes, so a caller that records warnings still gets them
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     try:
         run(parse_config(text), args.out, seed_override=args.seed, quiet=args.quiet)
     except (ConfigError, NumericalError, ValueError, OSError) as exc:
@@ -693,6 +699,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy raises a subclass named _ArrayMemoryError
         print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

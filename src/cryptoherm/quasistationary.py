@@ -1,8 +1,9 @@
 """Stationary-metric certification for polynomial-in-time Hamiltonian families.
 
-Given Taylor coefficients H₀, H₁, … with real spectra, decide whether one
-time-independent positive metric Θ makes every coefficient quasi-Hermitian
-(H_m†Θ = ΘH_m for all m), or certify the first order at which that fails.
+Given Taylor coefficients H₀, H₁, … with H₀ diagonalizable with a real
+spectrum, decide whether one time-independent positive metric Θ makes every
+coefficient quasi-Hermitian (H_m†Θ = ΘH_m for all m), or certify the first
+order at which that fails.
 
 The order-0 condition is solved by the spectral expansion
 Θ = Σ_n |Ψ₀,n⟩ κ_n ⟨Ψ₀,n| over the left eigenvectors of H₀ with free
@@ -11,7 +12,9 @@ basis, to the diagonal-congruence problem T·M = M†·T with
 M_jk = ⟨Ψ₀,j|H₁|Φ₀,k⟩ (H₁ written in that basis) and T = diag(κ): each
 significant entry pair fixes a weight ratio κ_k/κ_j = M_jk / M*_kj, rows of
 zeros leave the corresponding weights free, and the full residual of
-T·M − M†·T decides compatibility.  Weights are normalized to κ₁ = 1.
+T·M − M†·T decides compatibility.  The higher coefficients, in the same
+basis, fix the weights order 1 leaves free where they can.  Weights are
+normalized to κ₁ = 1.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ DEFAULT_TOL_QS = 1e-8
 REAL_SPECTRUM_RTOL = 1e-8
 
 #: most trials one qs_scan may run; a built-in sampler's trial takes about
-#: 0.3 ms at dim 8 and 7 ms at dim 40 (2-vCPU VM), so a scan ends within
-#: about twelve minutes
+#: 0.2 ms at dim 8 and at most 4.5 ms at dim 40 (2-vCPU VM), so a scan ends
+#: within about eight minutes
 MAX_TRIALS = 10**5
 
 #: coefficient bytes qs_scan samples before it certifies them as one stack,
@@ -112,14 +115,15 @@ def stationarity_residual(coefficient, theta_matrix):
     return float(residual) if residual.ndim == 0 else residual
 
 
-def _complex_spectra(eigenvalues, label: str) -> list:
-    """Per spectrum of a stack (n, d), ``None`` or the ``ExpectsRealSpectrum``
-    it fails with."""
-    scale = np.maximum(1.0, np.abs(eigenvalues).max(axis=-1))
+def _complex_spectra(eigenvalues) -> list:
+    """Per spectrum of a stack (n, d) of H₀'s, ``None`` or the
+    ``ExpectsRealSpectrum`` it fails with; the bound is relative to the
+    largest |λ|, with no floor, and a zero spectrum is real."""
+    scale = np.abs(eigenvalues).max(axis=-1)
     worst = np.abs(eigenvalues.imag).max(axis=-1)
     return [
         ExpectsRealSpectrum(
-            f"{label} has |Im eigenvalue| up to {w:.3e}; a real spectrum is required"
+            f"order-0 coefficient has |Im eigenvalue| up to {w:.3e}; a real spectrum is required"
         )
         if w > REAL_SPECTRUM_RTOL * sc
         else None
@@ -127,29 +131,43 @@ def _complex_spectra(eigenvalues, label: str) -> list:
     ]
 
 
-def _solve_weights(m: np.ndarray, significant: np.ndarray) -> np.ndarray:
+def _solve_weights(m: np.ndarray, links: np.ndarray) -> np.ndarray:
     """Positive-diagonal congruence solve for T·M = M†·T over a symmetric
     mask of significant entries.
 
-    Each significant pair fixes κ_k = κ_j·M_jk / M*_kj; insignificant pairs
-    leave the weights decoupled, and every connected component is seeded
-    with weight 1 in index order, which pins κ₁ = 1.
+    ``m`` is M⁽¹⁾, or the stack (M⁽¹⁾, M⁽²⁾, …) of every order, and
+    ``links`` a mask of the same shape.  Each pair of M⁽¹⁾ in its mask fixes
+    κ_k = κ_j·M_jk / M*_kj; the other pairs leave the weights decoupled, and
+    every connected component is seeded with weight 1 in index order, which
+    pins κ₁ = 1.  Then, order by order, each pair (j, k) in the mask of
+    M⁽ᵐ⁾, in row-major order, joins the components of j and k to fix that
+    same ratio; the component with the later root takes the factor.  A
+    component that no pair reaches keeps its weights.
     """
-    n = m.shape[0]
+    m = m.reshape(-1, *m.shape[-2:])
+    links = links.reshape(m.shape)
+    n = m.shape[-1]
     kappa = np.zeros(n, dtype=complex)
-    known = np.zeros(n, dtype=bool)
-    for root in range(n):
-        if known[root]:
+    root = np.full(n, -1)
+    for r in range(n):
+        if root[r] >= 0:
             continue
-        kappa[root] = 1.0
-        known[root] = True
-        queue = [root]
+        kappa[r] = 1.0
+        root[r] = r
+        queue = [r]
         while queue:
             j = queue.pop(0)
-            for k in np.flatnonzero(significant[j] & ~known).tolist():
-                kappa[k] = kappa[j] * m[j, k] / np.conj(m[k, j])
-                known[k] = True
+            for k in np.flatnonzero(links[0, j] & (root < 0)).tolist():
+                kappa[k] = kappa[j] * m[0, j, k] / np.conj(m[0, k, j])
+                root[k] = r
                 queue.append(k)
+    for mm, mask in zip(m[1:], links[1:]):
+        for j, k in np.argwhere(np.triu(mask, 1)).tolist():
+            if root[j] != root[k]:
+                c = kappa[j] * mm[j, k] / np.conj(mm[k, j]) / kappa[k]
+                joined = root == max(root[j], root[k])
+                kappa[joined] *= c if root[k] > root[j] else 1.0 / c
+                root[joined] = min(root[j], root[k])
     return kappa
 
 
@@ -157,41 +175,39 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     """``qs_certify`` on every family of a stack (n, degree + 1, d, d),
     degree ≥ 1: per family its certificate or the error it raises.
 
-    Decompositions, M = L₀†·H₁·R₀ (H₁ in H₀'s biorthonormal basis) and the
-    residuals of every order are computed for the whole stack at once; H₁'s
-    decomposition only gates its basis and spectrum.  The weights take one
-    vectorized step where every off-diagonal pair of M is significant
-    (κ_k = M₀ₖ / M*ₖ₀) or none is (κ = 1); a pattern with a one-sided pair
-    is exceptional, and the other patterns go through ``_solve_weights``.
-    Rows that fail a gate get garbage in the later stacked steps, which is
-    never read.
+    H₀'s decomposition and real spectrum are the only gates; an H₁ that no
+    positive metric serves is refuted by the steps below.  The decomposition,
+    M⁽ᵐ⁾ = L₀†·H_m·R₀ (H_m in H₀'s biorthonormal basis) and the residuals of
+    every order are computed for the whole stack at once.  The weights take
+    one vectorized step where every off-diagonal pair of M⁽¹⁾ is significant
+    (κ_k = M₀ₖ / M*ₖ₀); a pattern with a one-sided pair is exceptional, and
+    the other patterns go through ``_solve_weights``.  Rows that fail a gate
+    get garbage in the later stacked steps, which is never read.
     """
     n, d = coefficients.shape[0], coefficients.shape[-1]
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
-    sys1, failed1 = decompose_stack(coefficients[:, 1], BIORTHO_TOL)
-    outcomes = [
-        f0 or f1 or c0 or c1
-        for f0, f1, c0, c1 in zip(
-            failed0,
-            failed1,
-            _complex_spectra(sys0.eigenvalues, "order-0 coefficient"),
-            _complex_spectra(sys1.eigenvalues, "order-1 coefficient"),
-        )
-    ]
+    outcomes = [f or c for f, c in zip(failed0, _complex_spectra(sys0.eigenvalues))]
     failed = np.array([o is not None for o in outcomes])
-    # H₁ times the power of two 2⁻ᵉ that brings its largest real or imaginary
-    # part into [½, 1): exact, so κ and every decision keep their bits, while
-    # a subnormal H₁ no longer underflows the threshold or overflows a ratio
-    h1 = coefficients[:, 1].view(float)
-    e = np.frexp(np.abs(h1).max(axis=(1, 2)))[1]
-    h1 = np.ldexp(h1, -e[:, None, None]).view(complex)
-    m = adjoint(sys0.left_vectors) @ h1 @ sys0.right_vectors
-
-    scale = stacked_fro(m)
-    threshold = tol_qs * scale
-    # a zero entry is never significant, so that M = 0 (a zero H₁), where the
-    # threshold is 0, leaves every weight free
-    significant = (np.abs(m) >= threshold[:, None, None]) & (m != 0)
+    # each H_m, m ≥ 1, times the power of two 2⁻ᵉ that brings its largest real
+    # or imaginary part into [½, 1): exact, so κ and every decision keep their
+    # bits, while a subnormal H_m no longer underflows the threshold or
+    # overflows a ratio
+    h = coefficients[:, 1:].view(float)
+    e = np.frexp(np.abs(h).max(axis=(2, 3)))[1]
+    h = np.ldexp(h, -e[..., None, None]).view(complex)
+    ms = adjoint(sys0.left_vectors)[:, None] @ h @ sys0.right_vectors[:, None]
+    scales = stacked_fro(ms)
+    # a zero entry is never significant, so that M⁽ᵐ⁾ = 0 (a zero H_m), where
+    # the threshold is 0, leaves every weight free
+    links = (np.abs(ms) >= tol_qs * scales[..., None, None]) & (ms != 0)
+    m, scale, significant = ms[:, 0], scales[:, 0], links[:, 0]
+    # a pair of a higher order links the weights of j and k when it is
+    # significant on both sides and the ratio it fixes, κ_k/κ_j = M_jk / M*_kj,
+    # is real and positive
+    higher = ms[:, 1:]
+    two_sided = links[:, 1:] & links[:, 1:].swapaxes(2, 3)
+    ratio = np.divide(higher, adjoint(higher), out=np.zeros_like(higher), where=two_sided)
+    links[:, 1:] = two_sided & (np.abs(ratio.imag) <= tol_qs * np.abs(ratio)) & (ratio.real > 0)
     # a pair with one entry significant and its partner not admits no
     # positive ratio: the first such (j, k) in row-major order is reported
     one_sided = np.triu(significant != significant.swapaxes(1, 2)).reshape(n, d * d)
@@ -206,8 +222,9 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     kappa_c = np.ones((n, d), dtype=complex)
     generic = np.flatnonzero(~failed & (pairs == d * (d - 1)))
     kappa_c[generic, 1:] = kappa_c[generic, :1] * m[generic, 0, 1:] / m[generic, 1:, 0].conj()
-    for i in np.flatnonzero(~failed & ~exceptional & (pairs > 0) & (pairs < d * (d - 1))):
-        kappa_c[i] = _solve_weights(m[i], significant[i])
+    linked = (pairs > 0) | links[:, 1:].any(axis=(1, 2, 3))
+    for i in np.flatnonzero(~failed & ~exceptional & linked & (pairs < d * (d - 1))):
+        kappa_c[i] = _solve_weights(ms[i], links[i])
 
     worst_imag = np.abs(kappa_c.imag).max(axis=1)
     min_real = kappa_c.real.min(axis=1)
@@ -240,7 +257,7 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
             outcomes[i] = QSCertificate(
                 "incompatible", first_violation_order=1, residuals=r[:2], detail=(
                     "the linear coefficient is not quasi-Hermitian for any positive "
-                    f"weight choice (congruence residual {np.ldexp(congruence[j], e[i]):.3e})"
+                    f"weight choice (congruence residual {np.ldexp(congruence[j], e[i, 0]):.3e})"
                 ), **fields,
             )
         elif order is None:
@@ -258,8 +275,11 @@ def qs_solve(h0, h1, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     as ``qs_certify`` of the degree-1 family (H₀, H₁).
 
     Raises ``DimensionMismatch`` when the shapes differ, ``DefectiveMatrix``
-    when either coefficient fails to diagonalize, and ``ExpectsRealSpectrum``
-    when a spectrum is not real to tolerance.
+    when H₀ fails to diagonalize, ``ExpectsRealSpectrum`` when H₀'s spectrum
+    is not real to tolerance, and ``PositivityFailure`` when the metric
+    candidate is not positive definite.  H₁ is not factorized: one that is
+    not diagonalizable or has a non-real spectrum gets a certificate,
+    ``exceptional`` (a one-sided overlap pattern) or ``incompatible``.
     """
     return qs_certify(TaylorHamiltonian((h0, h1)), tol_qs)
 
@@ -272,12 +292,13 @@ def _check_tol(tol_qs: float) -> None:
 def qs_certify(hamiltonian: TaylorHamiltonian, tol_qs: float = DEFAULT_TOL_QS) -> QSCertificate:
     """Certify a full Taylor family against one stationary metric.
 
-    Solves the orders 0-1 problem, then checks every higher coefficient as a
-    residual against the found metric; the smallest violating order is
-    reported.  A compatible certificate on a degree-1 family is the generic
-    best case: higher-degree families generically violate at order 2.
-    Raises as ``qs_solve`` does, and ``ValueError`` for a degree-0 family or
-    a ``tol_qs`` that is not a finite number > 0.
+    Solves the orders 0-1 problem, with the weights order 1 leaves free
+    fixed by the higher coefficients where they can be, then checks every
+    higher coefficient as a residual against the found metric; the smallest
+    violating order is reported.  A compatible certificate on a degree-1
+    family is the generic best case: higher-degree families generically
+    violate at order 2.  Raises as ``qs_solve`` does, and ``ValueError`` for
+    a degree-0 family or a ``tol_qs`` that is not a finite number > 0.
     """
     _check_tol(tol_qs)
     if hamiltonian.degree < 1:
@@ -309,9 +330,12 @@ def qs_scan(
     deterministic given the seed.  The drawer is called once per stack of
     trials whose coefficients fill ``SCAN_BYTES``, and its error
     (``ResampleExhausted``) is raised before that stack is certified.
-    Decomposition failures, non-real spectra and metric candidates that are
-    not positive definite (as near an exceptional point) count as
-    exceptional; any other error ``qs_certify`` raises for a trial is raised.
+    An H₀ that fails to diagonalize or has a non-real spectrum, and a metric
+    candidate that is not positive definite (as near an exceptional point),
+    count as exceptional; any other error ``qs_certify`` raises for a trial
+    is raised.  H₁ is not gated: one that no positive metric serves counts
+    as the weights decide it, incompatible or, through a one-sided overlap
+    pattern, exceptional.
 
     Any other sampler, an unknown name, ``trials`` above ``MAX_TRIALS``,
     ``dim`` < 1 and a ``tol_qs`` that is not a finite number > 0 raise

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -294,6 +296,54 @@ def test_qs_check_with_a_zero_linear_coefficient_gives_the_order_2_verdict(tmp_p
     payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert (payload["status"], payload["first_violation_order"]) == ("incompatible", 2)
     assert payload["kappa"] == [1.0, 1.0]
+
+
+def test_qs_check_of_a_linear_coefficient_with_a_non_real_spectrum_is_incompatible(tmp_path):
+    # H₁ is not factorized, so its spectrum ±i is no error: the congruence
+    # weights refute every positive metric
+    cfg_path = _write(tmp_path, "qs.json", {
+        "command": "qs-check", "model": {"taylor": [[[1, 0], [0, 2]], [[0, -1], [1, 0]]]},
+    })
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert (payload["status"], payload["kappa"]) == ("incompatible", None)
+    assert "min Re = -1.000e+00" in payload["detail"]
+
+
+#: a successful run that meets an ill-conditioned map, and its one warning line
+ILL_CONDITIONED = {
+    "command": "hermitize", "model": {"matrix": MATRIX_2},
+    "dyson": {"kind": "constant", "matrix": [[1, 1], [1, 1.0000001]]},
+}
+ILL_CONDITIONED_LINE = (
+    "IllConditionedWarning: map condition number 4.000e+07 exceeds 1e+06; "
+    "Hermiticity residuals are not guaranteed\n"
+)
+
+
+def test_a_warning_of_a_successful_run_is_one_line(tmp_path):
+    # in a fresh process, as a user runs the CLI: no file path, line number
+    # or source echo of Python's own warning format
+    cfg_path = _write(tmp_path, "h.json", ILL_CONDITIONED)
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "cryptoherm.cli", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith(f"wrote {tmp_path / 'out' / 'hermitize.json'} (")
+    assert result.stderr == ILL_CONDITIONED_LINE
+
+
+def test_main_hands_its_warnings_to_a_recording_caller_and_restores_the_format(tmp_path):
+    cfg_path = _write(tmp_path, "h.json", ILL_CONDITIONED)
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _cli(cfg_path, tmp_path / "out", "--quiet") == (0, "", "")
+    assert [type(w.message).__name__ for w in caught] == ["IllConditionedWarning"]
+    assert warnings.formatwarning is formatwarning
 
 
 def test_qs_scan_seed_override(tmp_path):

@@ -380,17 +380,17 @@ def test_cli_hermitize_factorizes_the_map_once_per_stage(tmp_path, factorization
     assert factorizations == {"svd": 1, "inv": 1}
 
 
-def test_certification_factorizes_only_the_two_eigenvector_gates(factorizations):
-    # H₀'s and H₁'s decompositions each gate their eigenvectors with one SVD
-    # and invert them with one LU; M = L₀†·H₁·R₀ needs no further factorization
+def test_certification_factorizes_only_the_order_0_eigenvector_gate(factorizations):
+    # H₀'s decomposition gates its eigenvectors with one SVD and inverts them
+    # with one LU; M = L₀†·H₁·R₀ needs no further factorization, and H₁ none
     families = [sample_shared(np.random.default_rng(s), 4) for s in range(3)]
     families += [sample_independent(np.random.default_rng(s), 4) for s in range(3)]
     factorizations.clear()
     qs_certify(families[0])
-    assert factorizations == {"svd": 2, "inv": 2}
+    assert factorizations == {"svd": 1, "inv": 1}
     factorizations.clear()
     _certify_stack(np.array([family.coefficients for family in families]), 1e-8)
-    assert factorizations == {"svd": 2, "inv": 2}
+    assert factorizations == {"svd": 1, "inv": 1}
 
 
 def test_power_table_rows_with_a_clear_sign_bit_equal_numpy_pow_bit_for_bit():

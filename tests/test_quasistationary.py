@@ -2,6 +2,8 @@
 
 import functools
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -255,8 +257,34 @@ def test_complex_spectrum_rejected():
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # eigs +-i
     with pytest.raises(ExpectsRealSpectrum):
         qs_solve(rotation, np.diag([1.0, 2.0]).astype(complex))
-    with pytest.raises(ExpectsRealSpectrum):
-        qs_solve(np.diag([1.0, 2.0]).astype(complex), rotation)
+    # H₁ is not factorized: in H₀'s basis its one pair fixes κ₂ = −1, which
+    # no positive metric has
+    cert = qs_solve(np.diag([1.0, 2.0]).astype(complex), rotation)
+    assert (cert.status, cert.kappa, cert.first_violation_order) == ("incompatible", None, None)
+    assert cert.detail == (
+        "weight extraction produced non-real or non-positive values "
+        "(max |Im| = 0.000e+00, min Re = -1.000e+00)"
+    )
+
+
+@pytest.mark.parametrize("j", [-1000, -40, -20, 0, 20])
+def test_a_complex_spectrum_is_rejected_at_every_scale(j):
+    # the realness bound is relative to max |λ|, with no floor of 1
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ExpectsRealSpectrum, match=re.escape(f"up to {2.0**j:.3e};")):
+        qs_solve(2.0**j * rotation, np.diag([1.0, 2.0]))
+
+
+def test_a_zero_order_0_coefficient_has_a_real_spectrum():
+    cert = qs_solve(np.zeros((2, 2)), np.diag([1.0, 2.0]))
+    assert cert.status == "compatible" and (cert.kappa == 1.0).all()
+
+
+def test_a_defective_linear_coefficient_is_exceptional_through_its_pattern():
+    # a Jordan block: in H₀ = diag(1, 2)'s basis, M = H₁ is one-sided at (0, 1)
+    cert = qs_solve(np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert cert.status == "exceptional" and cert.kappa is None
+    assert cert.detail.startswith("one-sided overlap pattern at entries (0, 1)")
 
 
 def test_qs_solve_is_qs_certify_of_the_linear_family():
@@ -346,6 +374,69 @@ def test_scan_counts_a_non_positive_metric_near_the_exceptional_point_as_excepti
     assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 0, 3)
 
 
+def _planted_family(theta, hermitian_coefficients):
+    """H_m = Θ^{−½}·h_m·Θ^{½}: every coefficient quasi-Hermitian for Θ."""
+    root = principal_sqrt(theta)
+    root_inv = np.linalg.inv(root)
+    return TaylorHamiltonian(tuple(root_inv @ h @ root for h in hermitian_coefficients))
+
+
+def _shifted(coefficients, tau):
+    """The coefficients of the same H(t) expanded about t = τ."""
+    return tuple(
+        sum(math.comb(k, m) * tau ** (k - m) * coefficients[k] for k in range(m, len(coefficients)))
+        for m in range(len(coefficients))
+    )
+
+
+@pytest.mark.parametrize("h1", [np.zeros(3), np.array([0.5, -1.0, 2.0])], ids=["zero", "diagonal"])
+def test_higher_orders_fix_the_weights_order_1_leaves_free(h1):
+    # Θ = K = diag(1, 4, 9) serves H₀ = diag(1, 2, 3), a diagonal H₁ and
+    # H₂ = K^{−½}·A·K^{½}; order 1 leaves every weight free, and only H₂'s
+    # pairs fix κ ∝ (1, 4, 9)
+    rng = np.random.default_rng(0)
+    coefficients = _planted_family(
+        np.diag([1.0, 4.0, 9.0]), (np.diag([1.0, 2.0, 3.0]), np.diag(h1), _hermitian(rng, 3))
+    ).coefficients
+    cert = qs_certify(TaylorHamiltonian(coefficients))
+    assert cert.status == "compatible", cert.detail
+    npt.assert_allclose(cert.kappa, [1.0, 4.0, 9.0], rtol=1e-12)
+    assert max(cert.residuals) <= 1e-15
+    # the verdict does not depend on the time origin
+    for tau in (0.25, 1.0):
+        cert = qs_certify(TaylorHamiltonian(_shifted(coefficients, tau)))
+        assert cert.status == "compatible", (tau, cert.detail)
+
+
+@st.composite
+def _planted_families(draw):
+    """A family with a planted metric Θ (cond ≤ 100): H₀ from a Hermitian h₀
+    with eigenvalues at least 0.1 apart, and 1–3 more coefficients, each zero,
+    commuting with h₀ or dense Hermitian."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    theta = (u * np.exp(rng.uniform(0.0, np.log(100.0), d))) @ u.conj().T
+    basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    spectrum = np.cumsum(rng.uniform(0.1, 1.0, d))
+    coefficients = [(basis * spectrum) @ basis.conj().T]
+    for kind in draw(st.lists(st.sampled_from(["zero", "commuting", "dense"]), min_size=1, max_size=3)):
+        if kind == "zero":
+            coefficients.append(np.zeros((d, d)))
+        elif kind == "commuting":
+            coefficients.append((basis * rng.standard_normal(d)) @ basis.conj().T)
+        else:
+            coefficients.append(_hermitian(rng, d))
+    return _planted_family(theta, coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_planted_families())
+def test_a_planted_metric_is_never_refuted(family):
+    cert = qs_certify(family)
+    assert cert.status in ("compatible", "exceptional"), cert.detail
+
+
 def test_solve_weights_block_structure():
     # block-diagonal condition matrix: each block fixes its internal ratios,
     # blocks stay decoupled, component roots are seeded with weight one
@@ -373,6 +464,15 @@ def test_one_sided_pattern_is_exceptional():
         "one-sided overlap pattern at entries (0, 1): "
         "weight ratios are not determined by a generic solve"
     )
+
+
+def test_scan_counts_a_non_real_linear_spectrum_as_incompatible():
+    # H₁ is not factorized, so its non-real spectrum is no exceptional trial:
+    # the congruence weights decide
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    family = TaylorHamiltonian((np.diag([1.0, 2.0]).astype(complex), rotation))
+    stats = qs_scan(_drawer(lambda rng, dim: family), 3, 2, 0)
+    assert (stats.compatible, stats.incompatible, stats.exceptional) == (0, 3, 0)
 
 
 def test_scan_counts_and_determinism():
