@@ -3,10 +3,10 @@ biorthogonal eigendecomposition of diagonalizable non-normal matrices.
 
 All functions treat their array arguments as immutable values and return
 fresh arrays.  Tolerances are relative to the Frobenius norm of the input,
-with the absolute floors noted per function.  The eigendecomposition and
-``invert_stack`` take stacks (..., d, d) of matrices; each entry of a stack
-gets the same result, bit for bit, as the matrix alone.  Every inverse the
-package takes comes from ``invert_stack``, whose one SVD is also its gate.
+with no absolute floor.  The eigendecomposition and ``invert_stack`` take
+stacks (..., d, d) of matrices; each entry of a stack gets the same result,
+bit for bit, as the matrix alone.  Every inverse the package takes comes
+from ``invert_stack``, whose one SVD is also its gate.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def decompose_stack(m: np.ndarray, tol: float) -> tuple[BiorthonormalSystem, lis
         system.completeness_residual() > BIORTHO_TOL
     )
     recon = stacked_fro(system.reconstruct() - m)
-    budget = BIORTHO_TOL * np.maximum(stacked_fro(m), 1.0)
+    budget = BIORTHO_TOL * stacked_fro(m)
     failures = []
     for i in range(m.shape[0]):
         if singular[i]:

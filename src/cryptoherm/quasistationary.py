@@ -102,15 +102,28 @@ class ScanStats:
         return out | {f"violation_order_{k}": orders[k] for k in sorted(orders)}
 
 
+def _unit_scaled(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a complex stack (..., d, d) times the power of two 2⁻ᵉ
+    that brings its largest real or imaginary part into [½, 1), and the
+    exponents e (0 for a zero matrix).  The scaling is exact, so a ratio of
+    the scaled matrices keeps its bits, while one far from unit scale no
+    longer underflows a threshold or overflows a product."""
+    f = np.ascontiguousarray(matrices, dtype=complex).view(float)
+    e = np.frexp(np.abs(f).max(axis=(-2, -1)))[1]
+    return np.ldexp(f, -e[..., None, None]).view(complex), e
+
+
 def stationarity_residual(coefficient, theta_matrix):
     """‖H†Θ − ΘH‖ / (‖H‖·‖Θ‖), with 0 for a zero coefficient.
 
     Stacks (..., d, d) of coefficients and of metrics broadcast against each
-    other and give an array of residuals; two matrices give a float.
+    other and give an array of residuals; two matrices give a float.  H and
+    Θ are first brought to unit scale, so the residual does not depend on
+    their units.
     """
-    h = np.asarray(coefficient, dtype=complex)
-    den = stacked_fro(h) * stacked_fro(theta_matrix)
-    num = stacked_fro(adjoint(h) @ theta_matrix - theta_matrix @ h)
+    h, theta = _unit_scaled(coefficient)[0], _unit_scaled(theta_matrix)[0]
+    den = stacked_fro(h) * stacked_fro(theta)
+    num = stacked_fro(adjoint(h) @ theta - theta @ h)
     residual = np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
     return float(residual) if residual.ndim == 0 else residual
 
@@ -136,32 +149,19 @@ def _solve_weights(m: np.ndarray, links: np.ndarray) -> np.ndarray:
     mask of significant entries.
 
     ``m`` is M⁽¹⁾, or the stack (M⁽¹⁾, M⁽²⁾, …) of every order, and
-    ``links`` a mask of the same shape.  Each pair of M⁽¹⁾ in its mask fixes
-    κ_k = κ_j·M_jk / M*_kj; the other pairs leave the weights decoupled, and
-    every connected component is seeded with weight 1 in index order, which
-    pins κ₁ = 1.  Then, order by order, each pair (j, k) in the mask of
-    M⁽ᵐ⁾, in row-major order, joins the components of j and k to fix that
-    same ratio; the component with the later root takes the factor.  A
-    component that no pair reaches keeps its weights.
+    ``links`` a mask of the same shape.  Every weight starts at 1 in a
+    component of its own.  Order by order, each pair (j, k) in the mask of
+    M⁽ᵐ⁾, in row-major order, joins the components of j and k by fixing
+    κ_k/κ_j = M_jk / M*_kj; the component with the later root takes the
+    factor, so each component's first index keeps weight 1, which pins
+    κ₁ = 1.  A pair within one component fixes nothing, and a component that
+    no pair reaches keeps its weights.
     """
     m = m.reshape(-1, *m.shape[-2:])
     links = links.reshape(m.shape)
-    n = m.shape[-1]
-    kappa = np.zeros(n, dtype=complex)
-    root = np.full(n, -1)
-    for r in range(n):
-        if root[r] >= 0:
-            continue
-        kappa[r] = 1.0
-        root[r] = r
-        queue = [r]
-        while queue:
-            j = queue.pop(0)
-            for k in np.flatnonzero(links[0, j] & (root < 0)).tolist():
-                kappa[k] = kappa[j] * m[0, j, k] / np.conj(m[0, k, j])
-                root[k] = r
-                queue.append(k)
-    for mm, mask in zip(m[1:], links[1:]):
+    kappa = np.ones(m.shape[-1], dtype=complex)
+    root = np.arange(m.shape[-1])
+    for mm, mask in zip(m, links):
         for j, k in np.argwhere(np.triu(mask, 1)).tolist():
             if root[j] != root[k]:
                 c = kappa[j] * mm[j, k] / np.conj(mm[k, j]) / kappa[k]
@@ -178,23 +178,22 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     H₀'s decomposition and real spectrum are the only gates; an H₁ that no
     positive metric serves is refuted by the steps below.  The decomposition,
     M⁽ᵐ⁾ = L₀†·H_m·R₀ (H_m in H₀'s biorthonormal basis) and the residuals of
-    every order are computed for the whole stack at once.  The weights take
-    one vectorized step where every off-diagonal pair of M⁽¹⁾ is significant
-    (κ_k = M₀ₖ / M*ₖ₀); a pattern with a one-sided pair is exceptional, and
-    the other patterns go through ``_solve_weights``.  Rows that fail a gate
-    get garbage in the later stacked steps, which is never read.
+    every order are computed for the whole stack at once.  A pattern of M⁽¹⁾
+    with a one-sided pair is exceptional, and the other patterns go through
+    ``_solve_weights``' join rule, save two that take one vectorized step
+    with the same result: where every off-diagonal pair of M⁽¹⁾ is
+    significant, κ_k = M₀ₖ / M*ₖ₀, and where no pair of any order links two
+    weights, κ = 1.  Rows that fail a gate get garbage in the later stacked
+    steps, which is never read.
     """
     n, d = coefficients.shape[0], coefficients.shape[-1]
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
     outcomes = [f or c for f, c in zip(failed0, _complex_spectra(sys0.eigenvalues))]
     failed = np.array([o is not None for o in outcomes])
-    # each H_m, m ≥ 1, times the power of two 2⁻ᵉ that brings its largest real
-    # or imaginary part into [½, 1): exact, so κ and every decision keep their
-    # bits, while a subnormal H_m no longer underflows the threshold or
-    # overflows a ratio
-    h = coefficients[:, 1:].view(float)
-    e = np.frexp(np.abs(h).max(axis=(2, 3)))[1]
-    h = np.ldexp(h, -e[..., None, None]).view(complex)
+    # each H_m, m ≥ 1, at unit scale: κ and every decision keep their bits,
+    # while a subnormal H_m no longer underflows the threshold or overflows a
+    # ratio
+    h, e = _unit_scaled(coefficients[:, 1:])
     ms = adjoint(sys0.left_vectors)[:, None] @ h @ sys0.right_vectors[:, None]
     scales = stacked_fro(ms)
     # a zero entry is never significant, so that M⁽ᵐ⁾ = 0 (a zero H_m), where

@@ -1,5 +1,6 @@
 """Tests for the propagators, evolution operators, and picture crosschecks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,31 @@ def test_negative_time_grid_keeps_the_covariant_drift():
     assert max(traj.max_norm_drift, traj.max_metric_drift) <= 1e-8
     report = crosscheck_pictures(ham, fam, phi0, grid - 1.0, 1e-3)
     assert report.max_pairwise_deviation() <= 1e-7
+
+
+def _shifted(coefficients, tau):
+    """The coefficients of the same polynomial expanded about t = τ."""
+    return tuple(
+        sum(math.comb(k, m) * tau ** (k - m) * coefficients[k] for k in range(m, len(coefficients)))
+        for m in range(len(coefficients))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_propagation_does_not_depend_on_the_time_origin(seed):
+    # H(t) and θ(t) re-expanded about τ and run on the grid shifted by −τ are
+    # the same flow; negative τ also runs it through negative times
+    ham, fam, phi0, grid = scenario_random(4, seed)
+    base = propagate_pair(ham, fam, phi0, None, grid, 1e-3)
+    for tau in (-1.0, -0.5, 0.25, 1.0):
+        traj = propagate_pair(
+            TaylorHamiltonian(_shifted(ham.coefficients, tau)),
+            DysonFamily.exp_poly(fam.generator, _shifted(fam.theta, tau)),
+            phi0, None, grid - tau, 1e-3,
+        )
+        for shifted, original in ((traj.phi, base.phi), (traj.psi, base.psi),
+                                  (traj.metric_norm, base.metric_norm)):
+            assert np.abs(shifted - original).max() <= 1e-12, tau
 
 
 def test_crosscheck_at_dim_64():

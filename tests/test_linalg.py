@@ -94,7 +94,7 @@ def test_decompose_recovers_planted_spectra(seed, dim):
         spectrum,
         atol=1e-8 * max(np.abs(spectrum).max(), 1.0),
     )
-    assert norm_fro(system.reconstruct() - m) <= 1e-10 * max(norm_fro(m), 1.0)
+    assert norm_fro(system.reconstruct() - m) <= 1e-10 * norm_fro(m)
 
 
 def test_principal_sqrt_identity_and_diagonal():
@@ -204,6 +204,24 @@ def test_each_gate_rejects_its_matrix(matrix, message):
     with pytest.raises(DefectiveMatrix, match=f"^{message}"):
         biorthogonal_decompose(matrix)
     assert str(decompose_stack(matrix[None], BIORTHO_TOL)[1][0]).startswith(message)
+
+
+def _near_jordan(seed):
+    """J₃(λ) + ε·E, λ and E complex Gaussian and ε = 10^U(−9.5, −8.5): a
+    diagonalizable matrix within about 1e-9 of a defective one."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    return z[0] * np.eye(3) + np.diag([1.0, 1.0], 1) + 10 ** rng.uniform(-9.5, -8.5) * z[1:].reshape(3, 3)
+
+
+@pytest.mark.parametrize("j", [-100, -40, 0, 40, 100])
+def test_the_reconstruction_budget_has_no_floor_of_one(j):
+    # at unit scale (‖m‖ ≈ 2.7) this matrix's reconstruction residual is
+    # about 2.2 times BIORTHO_TOL·‖m‖; a budget of BIORTHO_TOL·max(‖m‖, 1)
+    # let the same matrix through at 2⁻⁴⁰, where it is an absolute bound
+    m = np.ldexp(_near_jordan(833).view(float), j).view(complex)
+    with pytest.raises(DefectiveMatrix, match="^spectral reconstruction residual"):
+        biorthogonal_decompose(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -214,11 +215,11 @@ def test_a_linear_coefficient_far_from_unit_scale_keeps_the_verdict():
 
 
 _DENSE_H1 = np.array([[0.5, 0.3 + 0.2j, -0.4j], [0.3 - 0.2j, -0.7, 0.6], [0.4j, 0.6, 0.9]])
-# M's pairs (0, 2) and (1, 2) are zero: the weights go through the walk
+# M's pairs (0, 2) and (1, 2) are zero: the weights go through the join rule
 _MIXED_H1 = np.array([[0.5, 0.3 + 0.2j, 0.0], [0.3 - 0.2j, -0.7, 0.0], [0.0, 0.0, 0.9]])
 
 
-@pytest.mark.parametrize("h1", [_DENSE_H1, _MIXED_H1], ids=["vectorized", "walk"])
+@pytest.mark.parametrize("h1", [_DENSE_H1, _MIXED_H1], ids=["vectorized", "joined"])
 @pytest.mark.parametrize("scale", [1e-309, 1e-310, 1e-320])
 def test_a_subnormal_linear_coefficient_keeps_the_verdict(h1, scale):
     # a ratio of two subnormal entries of M overflowed in its divide; H₁ is
@@ -335,7 +336,7 @@ def test_near_the_exceptional_point_results_are_typed_or_within_bounds(
     else:
         assert system.biorthonormality_residual() <= BIORTHO_TOL
         assert system.completeness_residual() <= BIORTHO_TOL
-        assert norm_fro(system.reconstruct() - h) <= BIORTHO_TOL * max(norm_fro(h), 1.0)
+        assert norm_fro(system.reconstruct() - h) <= BIORTHO_TOL * norm_fro(h)
     # the real side may certify, or fail on the ill-conditioned metric
     expected = (ExpectsRealSpectrum, DefectiveMatrix) if side < 0 else NumericalError
     try:
@@ -437,6 +438,36 @@ def test_a_planted_metric_is_never_refuted(family):
     assert cert.status in ("compatible", "exceptional"), cert.detail
 
 
+_TIME_ORIGINS = (-1.0, -0.5, 0.25, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_planted_families())
+def test_a_planted_compatible_family_is_compatible_about_every_time_origin(family):
+    # whether one stationary metric serves H(t) does not depend on t's origin
+    if qs_certify(family).status != "compatible":
+        return
+    for tau in _TIME_ORIGINS:
+        cert = qs_certify(TaylorHamiltonian(_shifted(family.coefficients, tau)))
+        assert cert.status == "compatible", (tau, cert.detail)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_a_sampled_family_keeps_its_compatibility_about_every_time_origin(name):
+    # H(τ) of a family no metric serves need not have a real spectrum, so an
+    # incompatible family may fail its order-0 precondition after the shift;
+    # it never becomes compatible, and a compatible one stays compatible
+    for coefficients in SAMPLERS[name]([np.random.default_rng(s) for s in range(12)], 4):
+        base = qs_certify(TaylorHamiltonian(tuple(coefficients))).status == "compatible"
+        for tau in _TIME_ORIGINS:
+            try:
+                cert = qs_certify(TaylorHamiltonian(_shifted(coefficients, tau)))
+            except NumericalError:
+                assert not base, tau
+            else:
+                assert (cert.status == "compatible") == base, (tau, cert.detail)
+
+
 def test_solve_weights_block_structure():
     # block-diagonal condition matrix: each block fixes its internal ratios,
     # blocks stay decoupled, component roots are seeded with weight one
@@ -452,6 +483,66 @@ def test_solve_weights_block_structure():
     assert kappa[0] == 1.0
     assert kappa[1] == pytest.approx(2.0 / 0.5)
     assert kappa[2] == 1.0
+
+
+def _planted_congruence(rng, kappa, mask):
+    """A stack M with T·M = M†·T on every masked pair for T = diag(κ): each
+    pair (j, k), j < k, draws M_jk and sets M_kj = (κ_j·M_jk / κ_k)*, and
+    every other entry is 0."""
+    m = np.zeros(mask.shape, dtype=complex)
+    upper = np.triu(mask, 1)
+    m[upper] = rng.standard_normal(upper.sum()) + 1j * rng.standard_normal(upper.sum())
+    ratio = kappa[:, None] / kappa[None, :]
+    return m + (ratio * m).conj().swapaxes(-1, -2)
+
+
+def _component_roots(mask):
+    """The first index of each weight's component under the pairs of every
+    order of a symmetric mask stack (..., d, d)."""
+    d = mask.shape[-1]
+    adjacent = mask.reshape(-1, d, d).any(axis=0) | np.eye(d, dtype=bool)
+    reach = adjacent
+    for _ in range(d):
+        reach = (reach.astype(int) @ adjacent.astype(int)) > 0
+    return reach.argmax(axis=1)
+
+
+def _check_join_rule(m, mask, kappa):
+    solved = _solve_weights(m, mask)
+    root = _component_roots(mask)
+    npt.assert_allclose(solved, kappa / kappa[root], rtol=1e-12, atol=0)
+    # T·M = M†·T on each masked pair, with the solved T
+    t_m = solved[:, None] * m
+    m_t = m.conj().swapaxes(-1, -2) * solved[None, :]
+    assert (np.abs(t_m - m_t)[mask] <= 1e-12 * np.abs(t_m)[mask]).all()
+    return solved
+
+
+def test_join_rule_recovers_a_planted_chain():
+    # pairs (0, 2) and (1, 2) only: the second join meets 2 already under
+    # root 0, so the component of 1, the later root, takes the inverse factor
+    kappa = np.array([1.0, 3.0, 0.5])
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[[0, 2, 1, 2], [2, 0, 2, 1]] = True
+    m = _planted_congruence(np.random.default_rng(0), kappa, mask)
+    npt.assert_allclose(_check_join_rule(m, mask, kappa), kappa, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 7),
+    orders=st.integers(1, 3),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_join_rule_recovers_planted_weights_on_random_masks(d, orders, density, seed):
+    # every order's pairs join components the same way, M⁽¹⁾ included; a
+    # weight no pair reaches keeps 1, its own κ/κ_root
+    rng = np.random.default_rng(seed)
+    kappa = np.exp(rng.uniform(-3.0, 3.0, d))
+    upper = np.triu(rng.uniform(size=(orders, d, d)) < density, 1)
+    mask = upper | upper.swapaxes(1, 2)
+    _check_join_rule(_planted_congruence(rng, kappa, mask), mask, kappa)
 
 
 def test_one_sided_pattern_is_exceptional():
@@ -633,9 +724,10 @@ def test_mixed_pattern_trial_in_a_stack_equals_a_standalone_certificate():
         _same_certificate(outcome, qs_certify(family))
 
 
-def test_vectorized_weights_equal_the_component_search():
+def test_vectorized_weights_equal_the_join_rule():
     # every off-diagonal pair significant: κ_k = M₀ₖ / M*ₖ₀ in one step must
-    # reproduce _solve_weights, the per-family reference, bit for bit
+    # reproduce _solve_weights' join rule, the per-family reference, bit for
+    # bit
     compared = 0
     for seed in range(8):
         h0, h1, _ = _metric_compatible_pair(seed, 5)
@@ -693,6 +785,70 @@ def test_stationarity_residual_broadcasts_over_stacks():
         for k in range(3):
             assert residuals[i, k] == stationarity_residual(hs[i, k], thetas[i])
     assert isinstance(stationarity_residual(hs[0, 0], thetas[0]), float)
+
+
+def _times_power_of_two(matrices, j):
+    """2ʲ·matrices, exact: every nonzero real and imaginary part must stay in
+    the normal range, where a subnormal part would lose bits."""
+    f = np.array(matrices, dtype=complex).view(float)
+    exponents = np.frexp(np.abs(f[f != 0]))[1] + j
+    assert exponents.min() >= -1021 and exponents.max() <= 1024, j
+    return np.ldexp(f, j).view(complex)
+
+
+def _outcome(call):
+    """The certificate of a call, or the type of the error it raises, with
+    every RuntimeWarning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except NumericalError as error:
+            return type(error)
+
+
+def _same_verdict(scaled, base):
+    """The same error type, or the same status and first violation order
+    with κ within 1e-10."""
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    assert (scaled.status, scaled.first_violation_order) == (
+        base.status, base.first_violation_order
+    ), scaled.detail
+    assert (scaled.kappa is None) == (base.kappa is None)
+    if base.kappa is not None:
+        npt.assert_allclose(scaled.kappa, base.kappa, rtol=1e-10, atol=0)
+
+
+def test_results_do_not_depend_on_a_power_of_two_scaling():
+    # quasi-Hermiticity is homogeneous in each coefficient and in Θ: the
+    # residual keeps its bits where the scaling is exact, the decomposition
+    # and the certifier keep their verdicts, and none of them overflows; H₀
+    # at 2¹⁰²⁰ overflowed the residual's ‖H‖·‖Θ‖, which then read 0
+    families = [SAMPLERS[name]([np.random.default_rng(s)], 4)[0]
+                for name in sorted(SAMPLERS) for s in (1, 5)]
+    checked = 0
+    for coefficients in families:
+        base = _outcome(lambda: qs_certify(TaylorHamiltonian(tuple(coefficients))))
+        for j in (-1000, -500, 0, 500, 1000, 1020):
+            h0 = _times_power_of_two(coefficients[0], j)
+            everything = _times_power_of_two(coefficients, j)
+            for scaled in (np.concatenate([h0[None], coefficients[1:]]), everything):
+                checked += 1
+                _same_verdict(_outcome(lambda: qs_certify(TaylorHamiltonian(tuple(scaled)))), base)
+            if getattr(base, "metric", None) is None:
+                continue
+            theta = base.metric.matrix
+            for h, r in zip(coefficients, base.residuals):
+                for pair in ((_times_power_of_two(h, j), theta), (h, _times_power_of_two(theta, j))):
+                    assert _outcome(lambda: stationarity_residual(*pair)) == r
+    assert checked == 72
+    jordan = np.diag([0.5, 0.5, 0.5]) + np.diag([1.0, 1.0], 1)
+    for m in [coefficients[0] for coefficients in families] + [jordan]:
+        verdict = _outcome(lambda: type(biorthogonal_decompose(m)))
+        for j in (-1000, -500, 0, 500, 1000):
+            assert _outcome(lambda: type(biorthogonal_decompose(_times_power_of_two(m, j)))) is verdict
 
 
 def test_scan_memory_does_not_grow_with_trials(monkeypatch):
