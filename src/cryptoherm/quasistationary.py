@@ -144,30 +144,36 @@ def _complex_spectra(eigenvalues) -> list:
     ]
 
 
-def _solve_weights(m: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """Positive-diagonal congruence solve for T·M = M†·T over a symmetric
-    mask of significant entries.
+def _solve_weights(ms: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """Positive-diagonal congruence solve for T·M = M†·T, per family of a
+    stack, over symmetric masks of significant entries.
 
-    ``m`` is M⁽¹⁾, or the stack (M⁽¹⁾, M⁽²⁾, …) of every order, and
-    ``links`` a mask of the same shape.  Every weight starts at 1 in a
-    component of its own.  Order by order, each pair (j, k) in the mask of
-    M⁽ᵐ⁾, in row-major order, joins the components of j and k by fixing
-    κ_k/κ_j = M_jk / M*_kj; the component with the later root takes the
-    factor, so each component's first index keeps weight 1, which pins
-    κ₁ = 1.  A pair within one component fixes nothing, and a component that
-    no pair reaches keeps its weights.
+    ``ms`` is the stack (n, degree, d, d) of each family's (M⁽¹⁾, M⁽²⁾, …),
+    ``links`` a mask of the same shape, and κ comes back as (n, d).  Every
+    weight starts at 1 in a component of its own.  Order by order, each pair
+    (j, k) in the mask of M⁽ᵐ⁾, in row-major order, joins the components of j
+    and k by fixing κ_k/κ_j = M_jk / M*_kj; the component with the later
+    root takes the factor, so each component's first index keeps weight 1,
+    which pins κ₁ = 1.  A pair within one component fixes nothing, and a
+    component that no pair reaches keeps its weights.  Each pair (0, k) of
+    M⁽¹⁾ meets a weight still alone, so these are taken for every family at
+    once; each later pair joins all the families that link it in one step,
+    and the loop runs only over pairs that some family has yet to join.  A
+    family's κ is bitwise what it gets in a stack of one.
     """
-    m = m.reshape(-1, *m.shape[-2:])
-    links = links.reshape(m.shape)
-    kappa = np.ones(m.shape[-1], dtype=complex)
-    root = np.arange(m.shape[-1])
-    for mm, mask in zip(m, links):
-        for j, k in np.argwhere(np.triu(mask, 1)).tolist():
-            if root[j] != root[k]:
-                c = kappa[j] * mm[j, k] / np.conj(mm[k, j]) / kappa[k]
-                joined = root == max(root[j], root[k])
-                kappa[joined] *= c if root[k] > root[j] else 1.0 / c
-                root[joined] = min(root[j], root[k])
+    d = ms.shape[-1]
+    kappa = np.ones((len(ms), d), dtype=complex)
+    np.divide(ms[:, 0, 0, 1:], ms[:, 0, 1:, 0].conj(), out=kappa[:, 1:], where=links[:, 0, 0, 1:])
+    root = np.where(links[:, 0, 0], 0, np.arange(d))
+    pending = np.triu(links, 1) & (root[:, None, :, None] != root[:, None, None, :])
+    for o, j, k in np.argwhere(pending.any(axis=0)).tolist():
+        f = np.flatnonzero(pending[:, o, j, k] & (root[:, j] != root[:, k]))
+        rj, rk = root[f, j], root[f, k]
+        c = kappa[f, j] * ms[f, o, j, k] / ms[f, o, k, j].conj() / kappa[f, k]
+        c[rk < rj] = 1.0 / c[rk < rj]
+        joined = root[f] == np.maximum(rj, rk)[:, None]
+        kappa[f] = np.where(joined, kappa[f] * c[:, None], kappa[f])
+        root[f] = np.where(joined, np.minimum(rj, rk)[:, None], root[f])
     return kappa
 
 
@@ -179,12 +185,10 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
     positive metric serves is refuted by the steps below.  The decomposition,
     M⁽ᵐ⁾ = L₀†·H_m·R₀ (H_m in H₀'s biorthonormal basis) and the residuals of
     every order are computed for the whole stack at once.  A pattern of M⁽¹⁾
-    with a one-sided pair is exceptional, and the other patterns go through
-    ``_solve_weights``' join rule, save two that take one vectorized step
-    with the same result: where every off-diagonal pair of M⁽¹⁾ is
-    significant, κ_k = M₀ₖ / M*ₖ₀, and where no pair of any order links two
-    weights, κ = 1.  Rows that fail a gate get garbage in the later stacked
-    steps, which is never read.
+    with a one-sided pair is exceptional, and one ``_solve_weights`` call
+    takes the weights of every other family.  Rows that fail a gate have
+    their links cleared and get garbage in the later stacked steps, which is
+    never read.
     """
     n, d = coefficients.shape[0], coefficients.shape[-1]
     sys0, failed0 = decompose_stack(coefficients[:, 0], BIORTHO_TOL)
@@ -217,13 +221,8 @@ def _certify_stack(coefficients: np.ndarray, tol_qs: float) -> list:
             f"one-sided overlap pattern at entries ({j}, {k}): "
             "weight ratios are not determined by a generic solve"
         ))
-    pairs = (significant & ~np.eye(d, dtype=bool)).sum(axis=(1, 2))
-    kappa_c = np.ones((n, d), dtype=complex)
-    generic = np.flatnonzero(~failed & (pairs == d * (d - 1)))
-    kappa_c[generic, 1:] = kappa_c[generic, :1] * m[generic, 0, 1:] / m[generic, 1:, 0].conj()
-    linked = (pairs > 0) | links[:, 1:].any(axis=(1, 2, 3))
-    for i in np.flatnonzero(~failed & ~exceptional & linked & (pairs < d * (d - 1))):
-        kappa_c[i] = _solve_weights(ms[i], links[i])
+    links[failed | exceptional] = False
+    kappa_c = _solve_weights(ms, links)
 
     worst_imag = np.abs(kappa_c.imag).max(axis=1)
     min_real = kappa_c.real.min(axis=1)

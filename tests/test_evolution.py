@@ -383,6 +383,39 @@ def test_propagation_does_not_depend_on_the_time_origin(seed):
             assert np.abs(shifted - original).max() <= 1e-12, tau
 
 
+def _propagations(ham, fam, phi0, grid, step):
+    """Every propagator's result for one model, grid and step."""
+    return (
+        propagate_pair(ham, fam, phi0, None, grid, step),
+        propagate_naive(ham, fam, phi0, None, grid, step),
+        evolution_operators(ham, fam, grid, step),
+        crosscheck_pictures(ham, fam, phi0, grid, step),
+    )
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_propagation_does_not_depend_on_the_time_unit(dim):
+    # t → α·t with α = 2ʲ: C_m → C_m/α^{m+1} and θ_k → θ_k/α^k give the
+    # same flow on the grid and step times α, and every factor is exact, so
+    # states and diagnostics keep their bits; d = 4 steps by RK4 step
+    # operators, d = 16 stage by stage
+    ham, fam, phi0, grid = scenario_random(dim, 3)
+    grid = grid[:4]
+    base = _propagations(ham, fam, phi0, grid, 1e-3)
+    for j in (-3, -2, -1, 1, 2, 3, 5):
+        alpha = 2.0**j
+        scaled = _propagations(
+            TaylorHamiltonian(tuple(c / alpha ** (m + 1) for m, c in enumerate(ham.coefficients))),
+            DysonFamily.exp_poly(fam.generator, [c / alpha**k for k, c in enumerate(fam.theta)]),
+            phi0, alpha * grid, alpha * 1e-3,
+        )
+        for result, original in zip(scaled, base):
+            assert np.array_equal(result.times, alpha * original.times)
+            for name in vars(original):
+                if name != "times":
+                    assert np.array_equal(getattr(result, name), getattr(original, name)), (j, name)
+
+
 def test_crosscheck_at_dim_64():
     # one map per table slice at this dimension: batches of one time
     assert evolution._map_slices(3, 64)[0] == slice(0, 1)

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -503,6 +504,23 @@ def test_omega_table_inverse_is_exact_to_rounding(make):
     fam = make()
     product = fam.omega(TABLE_TIMES) @ fam.omega_inv(TABLE_TIMES)
     assert np.abs(product - np.eye(fam.dim)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_dyson_maps_match_a_60_digit_exponential(dim):
+    # Ω(1) = exp(G) and Ω⁻¹(1) = exp(−G) for θ(t) = t and a generic complex
+    # G at ‖G‖₁ = 50, against mpmath's expm at 60 digits: scipy's expm errs
+    # about as much as the library does, so it could not resolve 1e-13
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g *= 50.0 / np.abs(g).sum(axis=0).max()
+        family = DysonFamily.exp_poly(g, (0.0, 1.0))
+        for sign, computed in ((1.0, family.omega(1.0)), (-1.0, family.omega_inv(1.0))):
+            with mpmath.workdps(60):
+                exact = np.array(mpmath.expm(mpmath.matrix((sign * g).tolist())).tolist(), dtype=complex)
+            error = np.linalg.norm(computed - exact) / np.linalg.norm(exact)
+            assert error <= 1e-13, (seed, sign, error)
 
 
 def test_omega_scalar_time_is_its_row_of_the_array_call():

@@ -479,7 +479,7 @@ def test_solve_weights_block_structure():
         ],
         dtype=complex,
     )
-    kappa = _solve_weights(m, np.abs(m) >= 1e-8)
+    kappa = _solve_weights(m[None, None], (np.abs(m) >= 1e-8)[None, None])[0]
     assert kappa[0] == 1.0
     assert kappa[1] == pytest.approx(2.0 / 0.5)
     assert kappa[2] == 1.0
@@ -508,14 +508,23 @@ def _component_roots(mask):
 
 
 def _check_join_rule(m, mask, kappa):
-    solved = _solve_weights(m, mask)
-    root = _component_roots(mask)
-    npt.assert_allclose(solved, kappa / kappa[root], rtol=1e-12, atol=0)
-    # T·M = M†·T on each masked pair, with the solved T
-    t_m = solved[:, None] * m
-    m_t = m.conj().swapaxes(-1, -2) * solved[None, :]
-    assert (np.abs(t_m - m_t)[mask] <= 1e-12 * np.abs(t_m)[mask]).all()
-    return solved
+    """Solve planted congruences with one stacked ``_solve_weights`` call and
+    check each family: κ (d,) with M of one family, (d, d) or (degree, d, d),
+    or κ (n, d) with a stack (n, degree, d, d).  Returns the solved κ in
+    ``kappa``'s shape."""
+    kappas = np.atleast_2d(kappa)
+    d = kappas.shape[-1]
+    ms = m.reshape(len(kappas), -1, d, d)
+    masks = mask.reshape(ms.shape)
+    solved = _solve_weights(ms, masks)
+    for one, links, planted, s in zip(ms, masks, kappas, solved):
+        root = _component_roots(links)
+        npt.assert_allclose(s, planted / planted[root], rtol=1e-12, atol=0)
+        # T·M = M†·T on each masked pair, with the solved T
+        t_m = s[:, None] * one
+        m_t = one.conj().swapaxes(-1, -2) * s[None, :]
+        assert (np.abs(t_m - m_t)[links] <= 1e-12 * np.abs(t_m)[links]).all()
+    return solved.reshape(np.shape(kappa))
 
 
 def test_join_rule_recovers_a_planted_chain():
@@ -543,6 +552,80 @@ def test_join_rule_recovers_planted_weights_on_random_masks(d, orders, density, 
     upper = np.triu(rng.uniform(size=(orders, d, d)) < density, 1)
     mask = upper | upper.swapaxes(1, 2)
     _check_join_rule(_planted_congruence(rng, kappa, mask), mask, kappa)
+
+
+def _join_rule_oracle(m, links):
+    """One family's κ by the per-family join loop that the stacked solver
+    replaced: ``m`` and ``links`` (degree, d, d), pair by pair in numpy's
+    scalar arithmetic."""
+    kappa = np.ones(m.shape[-1], dtype=complex)
+    root = np.arange(m.shape[-1])
+    for mm, mask in zip(m, links):
+        for j, k in np.argwhere(np.triu(mask, 1)).tolist():
+            if root[j] != root[k]:
+                c = kappa[j] * mm[j, k] / np.conj(mm[k, j]) / kappa[k]
+                joined = root == max(root[j], root[k])
+                kappa[joined] *= c if root[k] > root[j] else 1.0 / c
+                root[joined] = min(root[j], root[k])
+    return kappa
+
+
+def _joined_through_row_0(links):
+    """Per family of a mask stack (n, degree, d, d): whether every masked
+    pair of every order lies among the weights that the pairs (0, k) of
+    M⁽¹⁾ join, so that no pair past those fixes a weight."""
+    star = links[:, 0, 0] | (np.arange(links.shape[-1]) == 0)
+    inside = star[:, :, None] & star[:, None, :]
+    outside = links & ~inside[:, None] & ~np.eye(links.shape[-1], dtype=bool)
+    return ~outside.any(axis=(1, 2, 3))
+
+
+@st.composite
+def _mask_stacks(draw):
+    """A symmetric mask stack (n, degree, d, d), n 1–8, degree 1–3, d 2–7,
+    whose M⁽¹⁾ pattern per family is complete, empty, a star on index 0 or
+    random, with random higher orders; and a seed for the entries."""
+    d, degree = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["complete", "empty", "star", "random"]),
+                          min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    density = rng.uniform(size=(len(kinds), degree, 1, 1))
+    upper = np.triu(rng.uniform(size=(len(kinds), degree, d, d)) < density, 1)
+    for first, kind in zip(upper[:, 0], kinds):
+        if kind == "complete":
+            first[:] = np.triu(np.ones((d, d), dtype=bool), 1)
+        elif kind == "empty":
+            first[:] = False
+        elif kind == "star":
+            first[1:] = False
+    return upper | upper.swapaxes(-1, -2), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_mask_stacks())
+def test_stacked_weights_equal_the_per_family_join_loop(stack):
+    # every row: its own stack of one bit for bit, and the per-family loop
+    # bit for bit where only the pairs (0, k) of M⁽¹⁾ join (complete, empty
+    # and star patterns), within 1e-15 elsewhere, where numpy's array product
+    # rounds otherwise than its scalar product
+    links, seed = stack
+    rng = np.random.default_rng(seed)
+    ms = rng.standard_normal(links.shape) + 1j * rng.standard_normal(links.shape)
+    kappa = _solve_weights(ms, links)
+    assert kappa.shape == (len(links), links.shape[-1])
+    exact = _joined_through_row_0(links)
+    for i in range(len(links)):
+        assert np.array_equal(_solve_weights(ms[i:i + 1], links[i:i + 1])[0], kappa[i])
+        oracle = _join_rule_oracle(ms[i], links[i])
+        if exact[i]:
+            assert np.array_equal(kappa[i], oracle)
+        else:
+            assert (np.abs(kappa[i] - oracle) <= 1e-15 * np.abs(oracle)).all()
+    # T·M = M†·T on every masked pair for planted weights, one stacked solve
+    kappas = np.exp(rng.uniform(-3.0, 3.0, kappa.shape))
+    planted = np.array([_planted_congruence(rng, k, mask) for k, mask in zip(kappas, links)])
+    _check_join_rule(planted, links, kappas)
 
 
 def test_one_sided_pattern_is_exceptional():
@@ -737,7 +820,7 @@ def test_vectorized_weights_equal_the_join_rule():
         m = _condition_matrix(ham)
         significant = np.abs(m) >= 1e-8 * np.linalg.norm(m)
         assert significant.all()
-        kappa = _solve_weights(m, significant)
+        kappa = _solve_weights(m[None, None], significant[None, None])[0]
         cert = qs_certify(ham)
         if cert.kappa is not None:
             assert np.array_equal(cert.kappa, kappa.real)
@@ -787,13 +870,18 @@ def test_stationarity_residual_broadcasts_over_stacks():
     assert isinstance(stationarity_residual(hs[0, 0], thetas[0]), float)
 
 
-def _times_power_of_two(matrices, j):
-    """2ʲ·matrices, exact: every nonzero real and imaginary part must stay in
-    the normal range, where a subnormal part would lose bits."""
+def _scales_exactly(matrices, j):
+    """Whether 2ʲ·matrices is exact: every nonzero real and imaginary part
+    stays in the normal range, where a subnormal part would lose bits."""
     f = np.array(matrices, dtype=complex).view(float)
     exponents = np.frexp(np.abs(f[f != 0]))[1] + j
-    assert exponents.min() >= -1021 and exponents.max() <= 1024, j
-    return np.ldexp(f, j).view(complex)
+    return exponents.size == 0 or (exponents.min() >= -1021 and exponents.max() <= 1024)
+
+
+def _times_power_of_two(matrices, j):
+    """2ʲ·matrices, which must be exact."""
+    assert _scales_exactly(matrices, j), j
+    return np.ldexp(np.array(matrices, dtype=complex).view(float), j).view(complex)
 
 
 def _outcome(call):
@@ -849,6 +937,57 @@ def test_results_do_not_depend_on_a_power_of_two_scaling():
         verdict = _outcome(lambda: type(biorthogonal_decompose(m)))
         for j in (-1000, -500, 0, 500, 1000):
             assert _outcome(lambda: type(biorthogonal_decompose(_times_power_of_two(m, j)))) is verdict
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_certificates_do_not_depend_on_the_time_unit(name):
+    # t → 2ʲ·t takes H_m to 2^{jm}·H_m, and every order is brought to unit
+    # scale before any decision, so each field keeps its bits; a j that
+    # makes an entry subnormal is skipped, as that scaling is inexact
+    compared = 0
+    for coefficients in SAMPLERS[name]([np.random.default_rng(s) for s in range(30)], 4):
+        base = qs_certify(TaylorHamiltonian(tuple(coefficients)))
+        for j in (-300, -7, -1, 1, 3, 300):
+            if not all(_scales_exactly(h, j * m) for m, h in enumerate(coefficients)):
+                continue
+            scaled = tuple(_times_power_of_two(h, j * m) for m, h in enumerate(coefficients))
+            _same_certificate(qs_certify(TaylorHamiltonian(scaled)), base)
+            compared += 1
+    assert compared == 180
+
+
+def _well_conditioned(rng, d, cap=10.0):
+    """A complex Gaussian S with cond(S) ≤ ``cap``, drawn until one is."""
+    while True:
+        s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if np.linalg.cond(s) <= cap:
+            return s
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_a_similarity_keeps_the_verdict_and_maps_the_metric_back(d):
+    # H_m → S⁻¹·H_m·S for every m: a metric Θ′ of the new family gives
+    # S^{−†}·Θ′·S⁻¹ for the old one.  Θ′ need not be S†·Θ·S: where order 1
+    # leaves weights free, κ = 1 is taken in a basis whose normalization S
+    # changes
+    rng = np.random.default_rng(d)
+    for name in sorted(SAMPLERS):
+        for coefficients in SAMPLERS[name]([np.random.default_rng(s) for s in range(40)], d):
+            s = _well_conditioned(rng, d)
+            s_inv = np.linalg.inv(s)
+            base = qs_certify(TaylorHamiltonian(tuple(coefficients)))
+            cert = qs_certify(TaylorHamiltonian(tuple(s_inv @ h @ s for h in coefficients)))
+            assert (cert.status, cert.first_violation_order) == (
+                base.status, base.first_violation_order
+            ), (name, cert.detail, base.detail)
+            if cert.metric is None:
+                continue
+            theta = s_inv.conj().T @ cert.metric.matrix @ s_inv
+            passed = len(cert.residuals) if cert.first_violation_order is None else (
+                cert.first_violation_order
+            )
+            for h in coefficients[:passed]:
+                assert stationarity_residual(h, theta) <= 1e-12
 
 
 def test_scan_memory_does_not_grow_with_trials(monkeypatch):
